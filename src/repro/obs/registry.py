@@ -204,9 +204,11 @@ class SpanAccumulator:
     The section 6.3.1.2 statistic: how long each role (application /
     protocol) spent blocked, sampled at interval boundaries *while
     threads may still be parked*.  ``begin()`` opens a span and returns
-    a token; ``end(token)`` folds its duration into the key's total;
-    ``total(key)`` includes open spans up to now; ``reset()`` re-bases
-    open spans to now so the next window only sees its own share.
+    a token; ``end(token)`` folds its duration into the key's total
+    (``instant()`` is the pair for a span of no duration: counted,
+    never opened); ``total(key)`` includes open spans up to now;
+    ``reset()`` re-bases open spans to now so the next window only sees
+    its own share.
     """
 
     __slots__ = ("name", "_clock", "_total", "_count", "_open", "_next_token")
@@ -225,6 +227,10 @@ class SpanAccumulator:
         self._open[token] = (key, self._clock())
         self._count[key] = self._count.get(key, 0) + 1
         return token
+
+    def instant(self, key: str) -> None:
+        """Count a span that ends the instant it begins: no duration."""
+        self._count[key] = self._count.get(key, 0) + 1
 
     def end(self, token: int) -> None:
         entry = self._open.pop(token, None)

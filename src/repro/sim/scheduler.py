@@ -940,7 +940,11 @@ class Process(Waitable):
     def _throw(self, exc: BaseException) -> None:
         if not self._alive:
             return
-        self._detach = None
+        if self._detach is not None:
+            # A resume already in flight when interrupt() ran has parked
+            # the process on another waitable since: leave that one too.
+            self._detach()
+            self._detach = None
         try:
             waitable = self.gen.throw(exc)
         except StopIteration as stop:

@@ -19,11 +19,35 @@ from repro.obs.registry import SpanAccumulator
 from repro.sim.scheduler import Event, SimulationError, Simulator, Waitable
 
 
+class _Grant(Event):
+    """The waitable of one blocked acquire, queued in its semaphore.
+
+    ``release()`` sets it, which resumes the acquirer through the
+    scheduler -- one event per wake-up.  When its last waiter detaches
+    while it is still queued (a process interrupt, a losing
+    :class:`~repro.sim.scheduler.AnyOf` branch) it withdraws from the
+    queue, so no later ``release()`` is spent on nobody.
+    """
+
+    def __init__(self, sem: "Semaphore"):
+        super().__init__(sem.sim)
+        self._sem = sem
+        #: Open blocked-time span (:class:`TimedSemaphore` only).
+        self._token: Optional[int] = None
+
+    def _discard(self, callback) -> None:
+        super()._discard(callback)
+        if not self._is_set and not self._callbacks:
+            self._sem._withdraw(self)
+
+
 class Semaphore:
     """A counting semaphore for simulation processes.
 
     ``yield sem.acquire()`` blocks until a unit is available;
-    :meth:`release` wakes the longest-waiting acquirer (FIFO).
+    :meth:`release` wakes the longest-waiting acquirer (FIFO).  A grant
+    is one scheduler event: the acquirer always resumes through the
+    scheduler, never inline, whether or not it had to wait.
     """
 
     def __init__(self, sim: Simulator, value: int = 1):
@@ -31,7 +55,12 @@ class Semaphore:
             raise SimulationError(f"negative semaphore value {value}")
         self.sim = sim
         self._value = value
-        self._waiters: Deque[Event] = deque()
+        self._waiters: Deque[_Grant] = deque()
+        # What every acquire that finds a unit free returns.  A set
+        # Event never changes again, so one is shared: the "semaphores
+        # never block" case (paper section 3.7) allocates nothing.
+        self._granted = Event(sim)
+        self._granted.set(None)
 
     @property
     def value(self) -> int:
@@ -43,13 +72,12 @@ class Semaphore:
 
     def acquire(self) -> Waitable:
         """Return a waitable that fires when a unit has been granted."""
-        ev = Event(self.sim)
         if self._value > 0 and not self._waiters:
             self._value -= 1
-            ev.set(None)
-        else:
-            self._waiters.append(ev)
-        return ev
+            return self._granted
+        grant = _Grant(self)
+        self._waiters.append(grant)
+        return grant
 
     def try_acquire(self) -> bool:
         """Non-blocking acquire; True when a unit was taken."""
@@ -63,6 +91,13 @@ class Semaphore:
             self._waiters.popleft().set(None)
         else:
             self._value += 1
+
+    def _withdraw(self, grant: _Grant) -> None:
+        """Forget an abandoned waiter (see :class:`_Grant`)."""
+        try:
+            self._waiters.remove(grant)
+        except ValueError:
+            pass
 
 
 class TimedSemaphore(Semaphore):
@@ -80,22 +115,30 @@ class TimedSemaphore(Semaphore):
         # (repro.obs): open waits are re-based by reset_stats() and
         # in-progress time is included in blocked_time(), exactly the
         # sampling semantics section 6.3.1.2 needs.
-        self._waits = SpanAccumulator("semaphore.blocked", self._now)
-
-    def _now(self) -> float:
-        return self.sim.now
+        self._waits = SpanAccumulator("semaphore.blocked", sim._clock)
 
     def acquire(self, role: str = "unknown") -> Waitable:  # type: ignore[override]
-        token = self._waits.begin(role)
-        inner = super().acquire()
-        outer = Event(self.sim)
+        if self._value > 0 and not self._waiters:
+            # Never blocked: counted, but no span is opened.
+            self._value -= 1
+            self._waits.instant(role)
+            return self._granted
+        grant = _Grant(self)
+        grant._token = self._waits.begin(role)
+        self._waiters.append(grant)
+        return grant
 
-        def on_grant(_value: Any) -> None:
-            self._waits.end(token)
-            outer.set(None)
+    def release(self) -> None:
+        if self._waiters:
+            grant = self._waiters.popleft()
+            self._waits.end(grant._token)
+            grant.set(None)
+        else:
+            self._value += 1
 
-        inner._await(on_grant)
-        return outer
+    def _withdraw(self, grant: _Grant) -> None:
+        super()._withdraw(grant)
+        self._waits.end(grant._token)
 
     def blocked_time(self, role: str) -> float:
         """Total virtual seconds ``role`` has spent blocked so far.

@@ -184,7 +184,7 @@ class GatedReceiveBuffer:
         # Full/congested occupancy accounting: open-interval spans in a
         # windowed accumulator (repro.obs), so in-progress intervals are
         # included when the orchestrator samples mid-interval.
-        self._occupancy = SpanAccumulator("recvbuf.occupancy", self._now)
+        self._occupancy = SpanAccumulator("recvbuf.occupancy", sim._clock)
         self._full_token: Optional[int] = None
         self._congested_token: Optional[int] = None
         self.last_delivered_seq: Optional[int] = None
@@ -192,9 +192,6 @@ class GatedReceiveBuffer:
         #: Invoked after every successful application take; the receive
         #: VC uses it to return flow-control credits to the source.
         self.on_take: Optional[Any] = None
-
-    def _now(self) -> float:
-        return self.sim.now
 
     def __len__(self) -> int:
         return len(self._slots)

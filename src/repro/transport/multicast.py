@@ -159,9 +159,11 @@ class MulticastSendVC:
             dropped_seqs=notices,
         )
         if self.cos.error_correction:
-            self._cache[osdu.seq] = tpdu
-            if len(self._cache) > RETRANSMIT_CACHE:
-                self._cache.pop(min(self._cache))
+            cache = self._cache
+            cache[osdu.seq] = tpdu
+            if len(cache) > RETRANSMIT_CACHE:
+                # Inserted in increasing seq: the first key is the oldest.
+                del cache[next(iter(cache))]
         self.sent_count += 1
         size_bits = int(
             (osdu.size_bytes + DATA_HEADER_BYTES + OPDU.WIRE_BYTES) * 8

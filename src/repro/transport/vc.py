@@ -205,9 +205,11 @@ class SendVC:
                 backlogged=backlogged,
                 dropped_seqs=notices if notices is not None else [],
             )
-            self._cache[osdu.seq] = tpdu
-            if len(self._cache) > RETRANSMIT_CACHE:
-                self._cache.pop(min(self._cache))
+            cache = self._cache
+            cache[osdu.seq] = tpdu
+            if len(cache) > RETRANSMIT_CACHE:
+                # Inserted in increasing seq: the first key is the oldest.
+                del cache[next(iter(cache))]
         else:
             tpdu = DataTPDU.acquire(
                 self.vc_id, osdu, osdu.seq, now, now,
@@ -294,8 +296,12 @@ class SendVC:
         if self.window is None:
             return
         self.window.on_ack(cumulative_seq, advertised)
-        for seq in [s for s in self._cache if s < cumulative_seq]:
-            del self._cache[seq]
+        cache = self._cache
+        while cache:
+            seq = next(iter(cache))
+            if seq >= cumulative_seq:
+                break
+            del cache[seq]
 
     def _go_back_n(self, base: int, next_seq: int) -> None:
         trace = self.sim.trace

@@ -1,9 +1,25 @@
 """Tests for semaphores, timed semaphores and queues."""
 
-import pytest
+from collections import deque
 
-from repro.sim.scheduler import SimulationError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.obs.registry import SpanAccumulator
+from repro.sim.scheduler import (
+    AnyOf,
+    Event,
+    Interrupt,
+    SimulationError,
+    Simulator,
+    Timeout,
+)
 from repro.sim.sync import Queue, QueueFull, Semaphore, TimedSemaphore
+
+
+def seq_count(sim) -> int:
+    """Timers armed so far (as ``perf.harness.seq_count`` reads it)."""
+    return int(repr(sim._seq)[6:-1])
 
 
 class TestSemaphore:
@@ -149,6 +165,327 @@ class TestTimedSemaphore:
         sim.spawn(coro())
         sim.run()
         assert sem.acquire_count("app") == 3
+
+
+@pytest.mark.parametrize("cls", [Semaphore, TimedSemaphore])
+class TestOneEventPerGrant:
+    """A grant is one scheduler event, blocked or not; never inline."""
+
+    def test_uncontended_acquire_arms_one_event(self, sim, cls):
+        sem = cls(sim, 1)
+        marks = []
+
+        def coro():
+            marks.append(seq_count(sim))
+            yield sem.acquire()
+            marks.append(seq_count(sim))
+
+        sim.spawn(coro())
+        sim.run()
+        assert marks[1] - marks[0] == 1
+
+    def test_contended_acquire_arms_one_event_after_release(self, sim, cls):
+        sem = cls(sim, 0)
+        marks = []
+
+        def coro():
+            yield sem.acquire()
+            marks.append(seq_count(sim))
+
+        sim.spawn(coro())
+        sim.run()
+        parked = seq_count(sim)
+        sem.release()
+        assert marks == []  # resumed by the scheduler, not inside release()
+        assert seq_count(sim) - parked == 1
+        sim.run()
+        assert marks == [parked + 1]
+
+
+@pytest.mark.parametrize("cls", [Semaphore, TimedSemaphore])
+class TestAbandonedWaiter:
+    """A waiter that stops waiting must not be granted a unit."""
+
+    def test_interrupted_waiter_leaves_the_queue(self, sim, cls):
+        sem = cls(sim, 0)
+
+        def coro():
+            try:
+                yield sem.acquire()
+            except Interrupt:
+                return "interrupted"
+
+        proc = sim.spawn(coro())
+        sim.run()
+        assert sem.waiting == 1
+        proc.interrupt()
+        sim.run()
+        assert proc.finished.value == "interrupted"
+        assert sem.waiting == 0
+        sem.release()
+        assert sem.value == 1
+
+    def test_anyof_timeout_leaves_the_queue(self, sim, cls):
+        sem = cls(sim, 0)
+
+        def coro():
+            index, _value = yield AnyOf(sim, [sem.acquire(), Timeout(sim, 1.0)])
+            return index
+
+        proc = sim.spawn(coro())
+        sim.run()
+        assert proc.finished.value == 1
+        assert sem.waiting == 0
+        sem.release()
+        assert sem.value == 1
+
+    def test_next_waiter_gets_the_unit(self, sim, cls):
+        sem = cls(sim, 0)
+        got = []
+
+        def coro(name):
+            try:
+                yield sem.acquire()
+            except Interrupt:
+                return
+            got.append((name, sim.now))
+
+        first = sim.spawn(coro("first"))
+        sim.spawn(coro("second"))
+        sim.call_after(1.0, first.interrupt)
+        sim.call_after(2.0, sem.release)
+        sim.run()
+        assert got == [("second", 2.0)]
+        assert sem.value == 0 and sem.waiting == 0
+
+    def test_interrupt_racing_a_grant(self, sim, cls):
+        # interrupt() runs between release() and the resume: the process
+        # gets its unit, parks on a second acquire, and the Interrupt
+        # finds it there -- that second wait must be withdrawn too.
+        sem = cls(sim, 0)
+        got = []
+
+        def coro():
+            try:
+                yield sem.acquire()
+                got.append(sim.now)
+                yield sem.acquire()
+            except Interrupt:
+                return "interrupted"
+
+        proc = sim.spawn(coro())
+        sim.call_at(1.0, sem.release)
+        sim.call_at(1.0, proc.interrupt)
+        sim.run()
+        assert got == [1.0]
+        assert proc.finished.value == "interrupted"
+        assert sem.waiting == 0
+
+
+class TestAbandonedWaiterBlockedTime:
+    def test_interrupt_closes_the_span(self, sim):
+        sem = TimedSemaphore(sim, 0)
+
+        def coro():
+            yield sem.acquire("app")
+
+        proc = sim.spawn(coro())
+        sim.call_after(2.0, proc.interrupt)
+        sim.run(until=5.0)
+        assert sem.blocked_time("app") == 2.0
+
+    def test_anyof_timeout_closes_the_span(self, sim):
+        sem = TimedSemaphore(sim, 0)
+
+        def coro():
+            yield AnyOf(sim, [sem.acquire("app"), Timeout(sim, 1.5)])
+
+        sim.spawn(coro())
+        sim.run(until=5.0)
+        assert sem.blocked_time("app") == 1.5
+
+
+# -- equivalence with the semaphore this one replaced -------------------------
+
+
+class ReferenceTimedSemaphore:
+    """The two-``Event`` TimedSemaphore as it stood before the one-event
+    grant: an inner event queued for the unit, an ``on_grant`` closure
+    that closes the span, and an outer event the process waits on (two
+    zero-delay scheduler events per acquire).  Kept here as the model
+    the new class must reproduce.
+    """
+
+    def __init__(self, sim, value=1):
+        self.sim = sim
+        self._value = value
+        self._waiters = deque()
+        self._waits = SpanAccumulator("semaphore.blocked", lambda: sim.now)
+
+    @property
+    def value(self):
+        return self._value
+
+    @property
+    def waiting(self):
+        return len(self._waiters)
+
+    def acquire(self, role="unknown"):
+        token = self._waits.begin(role)
+        inner = Event(self.sim)
+        if self._value > 0 and not self._waiters:
+            self._value -= 1
+            inner.set(None)
+        else:
+            self._waiters.append(inner)
+        outer = Event(self.sim)
+
+        def on_grant(_value):
+            self._waits.end(token)
+            outer.set(None)
+
+        inner._await(on_grant)
+        return outer
+
+    def release(self):
+        if self._waiters:
+            self._waiters.popleft().set(None)
+        else:
+            self._value += 1
+
+    def blocked_time(self, role):
+        return self._waits.total(role)
+
+    def acquire_count(self, role):
+        return self._waits.count(role)
+
+    def reset_stats(self):
+        self._waits.reset()
+
+
+#: Schedule times are multiples of 2**-3 s, so every duration and every
+#: sum of durations is exact in floating point: "identical" means ==.
+TICK = 0.125
+ROLES = ("application", "protocol")
+HORIZON = 64
+
+_steps = st.lists(
+    st.tuples(st.integers(0, 4), st.sampled_from(["acquire", "release"])),
+    max_size=8,
+)
+_processes = st.lists(
+    st.tuples(st.sampled_from(ROLES), _steps), min_size=1, max_size=4
+)
+_timed = st.lists(
+    st.tuples(
+        st.integers(0, HORIZON - 1),
+        st.sampled_from(["release", "reset", "sample"]),
+    ),
+    max_size=12,
+)
+
+
+def drive(cls, initial, processes, timed, interrupts=()):
+    """Play one schedule against ``cls``; return (log, sim, sem).
+
+    Each process walks its script of (delay, op) steps; ``timed``
+    actions and ``interrupts`` fire from timers armed up front.  The log
+    holds every grant (process, time) in resumption order and every
+    sample of the statistics.
+    """
+    sim = Simulator()
+    sem = cls(sim, initial)
+    log = []
+
+    def stats():
+        return (
+            sim.now, sem.value, sem.waiting,
+            [(sem.blocked_time(r), sem.acquire_count(r)) for r in ROLES],
+        )
+
+    def body(index, role, steps):
+        try:
+            for delay, op in steps:
+                if delay:
+                    yield Timeout(sim, delay * TICK)
+                if op == "acquire":
+                    log.append(("wait", index, sim.now))
+                    yield sem.acquire(role)
+                    log.append(("grant", index, sim.now))
+                else:
+                    log.append(("release", index, sim.now))
+                    sem.release()
+        except Interrupt:
+            log.append(("interrupted", index, sim.now))
+
+    def act(op):
+        if op == "release":
+            sem.release()
+        elif op == "reset":
+            sem.reset_stats()
+        else:
+            log.append(("sample",) + stats())
+
+    procs = [
+        sim.spawn(body(i, role, steps))
+        for i, (role, steps) in enumerate(processes)
+    ]
+    for when, op in timed:
+        sim.call_at(when * TICK, lambda op=op: act(op))
+    for when, index in interrupts:
+        sim.call_at(when * TICK, procs[index % len(procs)].interrupt)
+    sim.run(until=HORIZON * TICK)
+    log.append(("end",) + stats())
+    return log, sim, sem
+
+
+@given(initial=st.integers(0, 3), processes=_processes, timed=_timed)
+@settings(max_examples=300, deadline=None)
+def test_one_event_grant_matches_two_event_reference(initial, processes, timed):
+    """Grant order and times, ``blocked_time`` and ``acquire_count`` per
+    role, ``value`` and ``waiting`` -- sampled mid-run, across
+    ``reset_stats`` and at the end -- are those of the old semaphore."""
+    new_log = drive(TimedSemaphore, initial, processes, timed)[0]
+    old_log = drive(ReferenceTimedSemaphore, initial, processes, timed)[0]
+    assert new_log == old_log
+
+
+@given(
+    initial=st.integers(0, 2),
+    processes=_processes,
+    timed=st.lists(
+        st.tuples(st.integers(0, HORIZON - 1), st.just("release")), max_size=8
+    ),
+    interrupts=st.lists(
+        st.tuples(st.integers(0, HORIZON - 1), st.integers(0, 3)),
+        min_size=1, max_size=4,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_interrupted_schedules_lose_no_unit(initial, processes, timed, interrupts):
+    """With processes interrupted at arbitrary points (the case the old
+    semaphore got wrong) every released unit is either still in the
+    semaphore or was handed to a process that resumed with it, the
+    queue holds exactly the processes still parked, and each role was
+    charged exactly the time its processes spent waiting."""
+    log, sim, sem = drive(TimedSemaphore, initial, processes, timed, interrupts)
+    released = len(timed) + sum(1 for entry in log if entry[0] == "release")
+    granted = sum(1 for entry in log if entry[0] == "grant")
+    assert initial + released == sem.value + granted
+
+    waiting_since = {}
+    blocked = dict.fromkeys(ROLES, 0.0)
+    for kind, index, when in log[:-1]:
+        if kind == "wait":
+            waiting_since[index] = when
+        elif kind != "release" and index in waiting_since:
+            blocked[processes[index][0]] += when - waiting_since.pop(index)
+    for index, since in waiting_since.items():
+        blocked[processes[index][0]] += sim.now - since
+    assert sem.waiting == len(waiting_since)
+    assert [sem.blocked_time(role) for role in ROLES] == [
+        blocked[role] for role in ROLES
+    ]
 
 
 class TestQueue:

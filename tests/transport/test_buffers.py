@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.scheduler import SimulationError, Timeout
+from repro.sim.scheduler import Interrupt, SimulationError, Timeout
 from repro.transport.buffers import (
     GatedReceiveBuffer,
     ROLE_APPLICATION,
@@ -171,6 +171,32 @@ class TestGatedReceiveBuffer:
         buf.open_gate()
         sim.run(until=6.0)
         assert [seq for _t, seq in taken] == [0]
+
+    def test_interrupted_taker_does_not_swallow_a_credit(self, sim):
+        """Regression: a taker interrupted while parked behind a closed
+        gate used to stay queued on the credit semaphore, so the first
+        credit granted afterwards went to nobody."""
+        buf = GatedReceiveBuffer(sim, 4)
+        buf.close_gate()
+        buf.deposit(osdu(0))
+        taken = []
+
+        def taker(name):
+            try:
+                item = yield from buf.take()
+            except Interrupt:
+                return
+            taken.append((name, sim.now, item.seq))
+
+        first = sim.spawn(taker("first"))
+        sim.call_at(1.0, first.interrupt)
+        sim.call_at(2.0, lambda: sim.spawn(taker("second")))
+        sim.call_at(3.0, buf.meter)
+        sim.call_at(3.0, lambda: buf.grant(1))
+        sim.run(until=5.0)
+        assert taken == [("second", 3.0, 0)]
+        # first waited 0 -> 1, second 2 -> 3; nothing accrues afterwards.
+        assert buf.blocked_time(ROLE_APPLICATION) == 2.0
 
     def test_metered_gate_paces_delivery(self, sim):
         buf = GatedReceiveBuffer(sim, 8)

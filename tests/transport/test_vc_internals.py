@@ -9,10 +9,12 @@ from repro.sim.scheduler import Timeout
 from repro.transport.addresses import TransportAddress
 from repro.transport.osdu import OSDU
 from repro.transport.qos import QoSSpec
+from repro.transport.profiles import ClassOfService, ProtocolProfile
 from repro.transport.service import build_transport, connect_pair
+from repro.transport.vc import RETRANSMIT_CACHE
 
 
-def make(sim, buffer_osdus=8, throughput=2e6):
+def make(sim, buffer_osdus=8, throughput=2e6, **connect_kwargs):
     net = Network(sim, RandomStreams(55))
     net.add_host("a")
     net.add_host("b")
@@ -22,7 +24,7 @@ def make(sim, buffer_osdus=8, throughput=2e6):
                          buffer_osdus=buffer_osdus)
     send, recv = connect_pair(
         sim, entities, TransportAddress("a", 1), TransportAddress("b", 1),
-        qos,
+        qos, **connect_kwargs,
     )
     send_vc = entities["a"].send_vcs[send.vc_id]
     recv_vc = entities["b"].recv_vcs[recv.vc_id]
@@ -174,3 +176,46 @@ class TestFlushEpoch:
         sim.run(until=sim.now + 1.0)
         got = recv.try_read()
         assert got is not None and got.seq == 0
+
+
+class TestRetransmitCache:
+    def pump(self, sim, send, recv, count):
+        def producer():
+            for i in range(count):
+                yield from send.write(OSDU(size_bytes=100, payload=i))
+
+        def consumer():
+            while True:
+                yield from recv.read()
+
+        sim.spawn(producer())
+        sim.spawn(consumer())
+        sim.run(until=sim.now + 30.0)
+
+    def test_full_cache_evicts_the_oldest_seq(self, sim):
+        _entities, send, recv, send_vc, _recv_vc = make(
+            sim, cos=ClassOfService.detect_and_correct()
+        )
+        extra = 10
+        self.pump(sim, send, recv, RETRANSMIT_CACHE + extra)
+        assert send_vc.sent_count == RETRANSMIT_CACHE + extra
+        # A rate-based VC sees no ACK: the cache stays full and the
+        # oldest sequence numbers are the ones that went.
+        assert list(send_vc._cache) == list(
+            range(extra, RETRANSMIT_CACHE + extra)
+        )
+        # NACK repair reaches exactly the newest RETRANSMIT_CACHE units.
+        send_vc.on_nack(list(range(RETRANSMIT_CACHE + extra)))
+        assert send_vc.retransmit_count == RETRANSMIT_CACHE
+
+    def test_ack_releases_the_acknowledged_prefix(self, sim):
+        _entities, send, recv, send_vc, _recv_vc = make(
+            sim, profile=ProtocolProfile.WINDOW_BASED
+        )
+        self.pump(sim, send, recv, 40)
+        assert send_vc.sent_count == 40
+        assert list(send_vc._cache) == []
+        for seq in range(40, 50):
+            send_vc._cache[seq] = object()
+        send_vc.on_ack(45)
+        assert list(send_vc._cache) == list(range(45, 50))
