@@ -1,17 +1,22 @@
-"""CI perf-smoke gate on scheduler events per OSDU (counts, not seconds).
+"""CI perf-smoke gate on the film workloads' exact counts (not seconds).
 
-Runs the ledger's traced ``film_orch`` rep (``perf/run.py``, seed 1) and
-fails unless
+Runs the ledger's traced seed-1 rep (``perf/run.py``) of two workloads
+and fails unless every count below holds and the run's ``sim_digest``
+equals the one recorded for that workload and seed in
+``perf/LEDGER.json`` (read-only): no count was bought by changing what
+is simulated.
 
-- ``sim.events_per_unit`` is at most 9.9 (the wake-up cost model of
-  DESIGN.md section 5.1 -- one scheduler event per semaphore grant on
-  the section 3.7 buffer path), and
-- the run's ``sim_digest`` equals the one recorded for that workload and
-  seed in ``perf/LEDGER.json`` (read-only): the count was not bought by
-  changing what is simulated.
+``film_orch``
+    ``sim.events_per_unit`` is at most 9.9 (the wake-up cost model of
+    DESIGN.md section 5.1 -- one scheduler event per semaphore grant on
+    the section 3.7 buffer path).
+``film_obs``
+    ``obs.trace_events`` is 363 972 and ``obs.export_mib`` equals the
+    ledger's value to the byte: tracing perturbs nothing, and however
+    the trace is stored and written, the export is the same document.
 
-Both repeat exactly on any host, so there is no calibration and no
-threshold to tune.
+All of it repeats exactly on any host, so there is no calibration and
+no threshold to tune.
 
 Usage::
 
@@ -24,41 +29,67 @@ import json
 import os
 import subprocess
 import sys
+from typing import Callable, Dict, List, Tuple
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-WORKLOAD = "film_orch"
 SEED = 1
 MAX_EVENTS = 9.9
+TRACE_EVENTS = 363_972
+
+#: One check: (metric, what must hold, predicate over (value, ledger value)).
+Check = Tuple[str, str, Callable[[float, float], bool]]
+
+ROWS: Dict[str, List[Check]] = {
+    "film_orch": [
+        ("sim.events_per_unit", f"<= {MAX_EVENTS}",
+         lambda value, _recorded: value <= MAX_EVENTS),
+    ],
+    "film_obs": [
+        ("obs.trace_events", f"== {TRACE_EVENTS}",
+         lambda value, _recorded: value == TRACE_EVENTS),
+        ("obs.export_mib", "== perf/LEDGER.json",
+         lambda value, recorded: value == recorded),
+    ],
+}
 
 
-def main() -> int:
+def check_row(workload: str, checks: List[Check], ledger: dict) -> bool:
     run = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perf", "run.py"),
-         "--workload", WORKLOAD, "--seed", str(SEED),
+         "--workload", workload, "--seed", str(SEED),
          "--seconds", "20", "--trace", "1"],
         capture_output=True, text=True,
     )
     lines = run.stdout.splitlines()
     if run.returncode != 0 or len(lines) < 2:
         sys.stderr.write(run.stdout + run.stderr)
-        print(f"perf/run.py exited {run.returncode}")
-        return 1
-    result = json.loads(lines[-1])
+        print(f"{workload}: perf/run.py exited {run.returncode}")
+        return False
+    metrics = json.loads(lines[-1])["metrics"]
     detail = json.loads(lines[-2].split(" ", 1)[1])
+    recorded = ledger["workloads"][workload]
+    digest = recorded["sim_digest"][str(SEED)]
+
+    ok = detail["digests"] == digest
+    print(f"{workload} seed {SEED}: sim_digest "
+          f"{'matches' if ok else 'DIFFERS from'} perf/LEDGER.json")
+    if not ok:
+        print(f"FAIL: sim_digest {detail['digests']} != recorded {digest}")
+    for metric, bound, holds in checks:
+        value = metrics[metric]["value"]
+        print(f"{workload} seed {SEED}: {metric} {value!r} (must be {bound})")
+        if not holds(value, recorded["per_layer"][metric]["value"]):
+            print(f"FAIL: {metric} {value!r} is not {bound}")
+            ok = False
+    return ok
+
+
+def main() -> int:
     with open(os.path.join(ROOT, "perf", "LEDGER.json")) as fh:
         ledger = json.load(fh)
-    recorded = ledger["workloads"][WORKLOAD]["sim_digest"][str(SEED)]
-
-    events = result["metrics"]["sim.events_per_unit"]["value"]
-    digest_ok = detail["digests"] == recorded
-    print(f"{WORKLOAD} seed {SEED}: sim.events_per_unit {events:.3f} "
-          f"(limit {MAX_EVENTS}), sim_digest "
-          f"{'matches' if digest_ok else 'DIFFERS from'} perf/LEDGER.json")
-    if not digest_ok:
-        print(f"FAIL: sim_digest {detail['digests']} != recorded {recorded}")
-    if events > MAX_EVENTS:
-        print(f"FAIL: sim.events_per_unit {events:.3f} > {MAX_EVENTS}")
-    return 0 if digest_ok and events <= MAX_EVENTS else 1
+    results = [check_row(workload, checks, ledger)
+               for workload, checks in ROWS.items()]
+    return 0 if all(results) else 1
 
 
 if __name__ == "__main__":

@@ -37,17 +37,20 @@ layer that turns them into the system's evaluation instrument:
 
 ``repro.obs.export``
     :class:`FixedBucketHistogram` (HDR-style p50/p95/p99/p999),
-    Prometheus text exposition and JSON snapshots for the registry.
+    Prometheus text exposition, JSON snapshots for the registry and
+    :func:`write_json_document`, the chunked C-encoder writer behind
+    every large JSON export (traces, merged fleet audits).
 
 ``repro.obs.report``
     ``python -m repro.obs.report trace.json`` summarises an exported
     trace; ``python -m repro.obs.report run audit.json`` renders a
     paper-style conformance report from an audit snapshot.
 
-The registry, tracer, causality and export submodules are
-dependency-free leaves (they take a ``clock`` callable instead of
-importing the simulator), so the kernel can depend on them without a
-cycle; the auditor only reads ``sim.now``.
+The registry, tracer, causality and export submodules import nothing
+outside ``repro.obs`` (causality reads the tracer's records, the tracer
+writes through the export module's JSON writer; they take a ``clock``
+callable instead of importing the simulator), so the kernel can depend
+on them without a cycle; the auditor only reads ``sim.now``.
 """
 
 from repro.obs.audit import (
@@ -60,6 +63,7 @@ from repro.obs.causality import ChainIndex
 from repro.obs.export import (
     FixedBucketHistogram,
     prometheus_text,
+    write_json_document,
     write_json_snapshot,
 )
 from repro.obs.registry import (
@@ -99,5 +103,6 @@ __all__ = [
     "install_audit",
     "merge_snapshots",
     "prometheus_text",
+    "write_json_document",
     "write_json_snapshot",
 ]

@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.obs.causality import ChainIndex
 from repro.obs.export import FixedBucketHistogram
-from repro.obs.trace import Clock, TraceLevel, Tracer
+from repro.obs.trace import Clock, Record, TraceLevel, Tracer
 
 __all__ = [
     "FlightRecorder",
@@ -84,11 +84,14 @@ class FlightRecorder(Tracer):
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         super().__init__(clock, level)
         self.capacity = capacity
-        self._events = deque(maxlen=capacity)
+        self._store(deque(maxlen=capacity))
+
+    def records(self, start: int = 0) -> List[Record]:
+        return list(self._records)[start:]
 
     def snapshot(self) -> List[Dict[str, Any]]:
-        """A list copy of the ring's current contents (oldest first)."""
-        return list(self._events)
+        """The ring's current contents as event dicts (oldest first)."""
+        return self.events
 
 
 def _contract_dict(contract) -> Dict[str, Any]:
@@ -236,6 +239,10 @@ class QoSAuditor:
         self.delay_hist = FixedBucketHistogram(lo=1e-5, hi=10.0, buckets=128)
         self.jitter_hist = FixedBucketHistogram(lo=1e-6, hi=1.0, buckets=128)
         self._sections: Dict[str, Any] = {}
+        #: The causal index behind drill-downs on an append-only tracer,
+        #: and how many of the tracer's records it has been fed.
+        self._chain = ChainIndex()
+        self._indexed = 0
 
     # -- extension sections ------------------------------------------------
 
@@ -340,7 +347,15 @@ class QoSAuditor:
         if len(conn.drilldowns) >= self.max_drilldowns:
             conn.drilldowns_suppressed += 1
             return
-        chain = ChainIndex(tracer.events)
+        if isinstance(tracer, FlightRecorder):
+            # The ring forgets, so an index kept across drill-downs
+            # would not; it is bounded by ``capacity``, rebuild it.
+            chain = ChainIndex()
+            chain.extend_records(tracer.records())
+        else:
+            chain = self._chain
+            chain.extend_records(tracer.records(self._indexed))
+            self._indexed = len(tracer)
         explanation = chain.explain_period(
             conn.vc_id, entry["t0"], entry["t1"],
         )

@@ -12,16 +12,30 @@ netsim packet id, threaded through the instrumentation:
   ``link.down``) carry the same packet id mid-flight.
 - host ``rx:*`` instants carry it at delivery -- the *child* end.
 
-:class:`ChainIndex` ingests a list of Chrome-trace events (timestamps
-in microseconds, as recorded) and answers second-denominated queries:
+:class:`ChainIndex` ingests Chrome-trace events (timestamps in
+microseconds, as recorded) and answers second-denominated queries:
 which packets a VC sent inside a period, what happened to each, and
 which fault episodes overlapped.  It is a pure in-memory index -- safe
 to build from a live flight-recorder ring at violation time.
+
+The index is incremental: :meth:`ChainIndex.extend` (dicts) and
+:meth:`ChainIndex.extend_records` (a tracer's own records) file new
+events behind those already indexed, so a consumer that keeps one index
+next to an append-only tracer pays for each event once.  Chains hold
+references to the records they were given, never copies or dicts;
+dicts are built for the events a query returns.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Optional
+
+from repro.obs.trace import (
+    CAT, DUR, KEYS, NAME, TS, Record, event_of, record_arg, record_args,
+    record_of,
+)
 
 __all__ = ["ChainIndex"]
 
@@ -37,40 +51,69 @@ _LOSS_CAUSES = {
 
 _DELIVERY_PREFIX = "rx:"
 
+_timestamp = itemgetter(TS)
+
+
+def _seconds(record: Record) -> float:
+    return record[TS] / _US
+
 
 class ChainIndex:
     """Index of trace events by packet id, VC and fault episode."""
 
-    def __init__(self, events: List[Dict[str, Any]]):
-        #: packet id -> chronological [(ts_s, name, event), ...]
-        self._by_packet: Dict[int, List[Dict[str, Any]]] = {}
-        #: vc id -> chronological tpdu.tx records
-        self._tx_by_vc: Dict[str, List[Dict[str, Any]]] = {}
-        self._faults: List[Dict[str, Any]] = []
-        for event in events:
-            if event.get("ph") == "M":
-                continue
-            args = event.get("args") or {}
-            packet_id = args.get("packet_id")
-            if packet_id is not None:
-                self._by_packet.setdefault(packet_id, []).append(event)
-            for lost_id in args.get("lost_packet_ids") or ():
-                self._by_packet.setdefault(lost_id, []).append(event)
-            if event.get("name") == "tpdu.tx" and args.get("vc") is not None:
-                self._tx_by_vc.setdefault(str(args["vc"]), []).append(event)
-            if event.get("cat") == "fault":
-                self._faults.append(event)
-        for chain in self._by_packet.values():
-            chain.sort(key=lambda e: e.get("ts", 0.0))
-        for sends in self._tx_by_vc.values():
-            sends.sort(key=lambda e: e.get("ts", 0.0))
-        self._faults.sort(key=lambda e: e.get("ts", 0.0))
+    def __init__(self, events: Iterable[Dict[str, Any]] = ()):
+        #: packet id -> records mentioning it, in time order
+        self._by_packet: Dict[int, List[Record]] = {}
+        #: vc id -> tpdu.tx records, in time order
+        self._tx_by_vc: Dict[str, List[Record]] = {}
+        self._faults: List[Record] = []
+        self.extend(events)
+
+    # -- ingestion ---------------------------------------------------------
+
+    def extend(self, events: Iterable[Dict[str, Any]]) -> None:
+        """Index more Chrome-trace dicts (metadata events are skipped)."""
+        self.extend_records(
+            [record_of(event) for event in events if event.get("ph") != "M"]
+        )
+
+    def extend_records(self, records: Iterable[Record]) -> None:
+        """Index more tracer records, keeping every chain in time order.
+
+        Equal to rebuilding over everything seen so far: a chain is
+        re-sorted (stably, so equal timestamps keep recording order)
+        only when one of the new records is older than the chain's
+        last -- an "X" span, which is recorded when it ends.
+        """
+        unsorted = {}
+
+        def file(chain: List[Record], record: Record) -> None:
+            if chain and record[TS] < chain[-1][TS]:
+                unsorted[id(chain)] = chain
+            chain.append(record)
+
+        by_packet, tx_by_vc = self._by_packet, self._tx_by_vc
+        for record in records:
+            if record[KEYS]:
+                packet_id = record_arg(record, "packet_id")
+                if packet_id is not None:
+                    file(by_packet.setdefault(packet_id, []), record)
+                for lost_id in record_arg(record, "lost_packet_ids") or ():
+                    file(by_packet.setdefault(lost_id, []), record)
+                if record[NAME] == "tpdu.tx":
+                    vc = record_arg(record, "vc")
+                    if vc is not None:
+                        file(tx_by_vc.setdefault(str(vc), []), record)
+            if record[CAT] == "fault":
+                file(self._faults, record)
+        for chain in unsorted.values():
+            chain.sort(key=_timestamp)
 
     # -- raw lookups -------------------------------------------------------
 
     def events_for_packet(self, packet_id: int) -> List[Dict[str, Any]]:
         """Every indexed event mentioning ``packet_id``, in time order."""
-        return list(self._by_packet.get(packet_id, ()))
+        return [event_of(r) for r in self._by_packet.get(packet_id, ())]
 
     def packet_fate(self, packet_id: int) -> Dict[str, Any]:
         """Summarise one packet's life: sent / delivered / lost where."""
@@ -79,12 +122,12 @@ class ChainIndex:
             "sent_at": None, "resolved_at": None, "cause": None,
             "where": None,
         }
-        for event in self._by_packet.get(packet_id, ()):
-            name = event.get("name", "")
-            ts_s = event.get("ts", 0.0) / _US
+        for record in self._by_packet.get(packet_id, ()):
+            name = record[NAME]
+            ts_s = _seconds(record)
             if name == "tpdu.tx" and fate["sent_at"] is None:
                 fate["sent_at"] = ts_s
-                args = event.get("args") or {}
+                args = record_args(record)
                 fate["vc"] = args.get("vc")
                 fate["seq"] = args.get("seq")
                 fate["kind"] = args.get("kind")
@@ -95,30 +138,26 @@ class ChainIndex:
                 fate["status"] = "lost"
                 fate["cause"] = _LOSS_CAUSES[name]
                 fate["resolved_at"] = ts_s
-                fate["where"] = self._track_of(event)
+                # pid -> track name needs the metadata events we
+                # skipped; fall back to the link recorded in args.
+                args = record_args(record)
+                fate["where"] = args.get("link") or args.get("track")
         return fate
-
-    def _track_of(self, event: Dict[str, Any]) -> Optional[str]:
-        # pid -> track name needs the metadata events we skipped; fall
-        # back to the link recorded in args when present.
-        args = event.get("args") or {}
-        return args.get("link") or args.get("track")
 
     # -- per-VC / per-window queries --------------------------------------
 
     def packets_for_vc(self, vc_id: str, t0: Optional[float] = None,
                        t1: Optional[float] = None) -> List[Dict[str, Any]]:
         """Fates of packets ``vc_id`` sent inside ``[t0, t1]`` seconds."""
+        sends = self._tx_by_vc.get(str(vc_id), ())
+        lo = 0 if t0 is None else bisect_left(sends, t0, key=_seconds)
+        hi = (len(sends) if t1 is None
+              else bisect_right(sends, t1, key=_seconds))
         fates = []
-        for event in self._tx_by_vc.get(str(vc_id), ()):
-            ts_s = event.get("ts", 0.0) / _US
-            if t0 is not None and ts_s < t0:
-                continue
-            if t1 is not None and ts_s > t1:
-                continue
-            args = event.get("args") or {}
-            if args.get("packet_id") is not None:
-                fates.append(self.packet_fate(args["packet_id"]))
+        for record in sends[lo:hi]:
+            packet_id = record_arg(record, "packet_id")
+            if packet_id is not None:
+                fates.append(self.packet_fate(packet_id))
         return fates
 
     def lost_packets(self, vc_id: str, t0: Optional[float] = None,
@@ -132,16 +171,16 @@ class ChainIndex:
     def fault_episodes(self, t0: float, t1: float) -> List[Dict[str, Any]]:
         """Fault-category events overlapping ``[t0, t1]`` seconds."""
         episodes = []
-        for event in self._faults:
-            start_s = event.get("ts", 0.0) / _US
-            end_s = start_s + event.get("dur", 0.0) / _US
+        for record in self._faults:
+            start_s = _seconds(record)
+            end_s = start_s + (record[DUR] or 0.0) / _US
             if end_s < t0 or start_s > t1:
                 continue
             episodes.append({
-                "name": event.get("name"),
+                "name": record[NAME],
                 "start": start_s,
                 "end": end_s,
-                "args": event.get("args") or {},
+                "args": record_args(record),
             })
         return episodes
 

@@ -41,6 +41,10 @@ from repro.metrics.stats import summarize
 from repro.metrics.table import Table
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_events(path: str) -> List[Dict[str, Any]]:
     """Read and validate a Chrome-trace JSON file; returns its events."""
     with open(path) as handle:
@@ -54,9 +58,17 @@ def load_events(path: str) -> List[Dict[str, Any]]:
             f"{path!r} is not Chrome-trace JSON "
             "(expected an object with a traceEvents array)"
         )
-    for event in events:
+    for index, event in enumerate(events):
         if not isinstance(event, dict) or "ph" not in event:
             raise ValueError(f"malformed trace event: {event!r}")
+        if event["ph"] == "M":
+            continue
+        if not _is_number(event.get("ts")):
+            raise ValueError(
+                f"trace event {index} has no numeric 'ts': {event!r}")
+        if "dur" in event and not _is_number(event["dur"]):
+            raise ValueError(
+                f"trace event {index} has a non-numeric 'dur': {event!r}")
     return events
 
 

@@ -23,17 +23,40 @@ Zero cost when disabled
     scheduled.  The tracer itself never schedules anything either: it
     only appends to an in-memory list at call time.
 
-This module is a dependency-free leaf: the tracer takes a ``clock``
-callable (seconds of virtual time) rather than importing the simulator.
+Records, not dicts
+    What is appended is one flat tuple per event -- ``(name, ph, ts,
+    dur, pid, cat, arg_keys, *arg_values)``: the keys of ``args`` as
+    one tuple shared by every event with the same keys (``None``
+    without ``args``), its values inline behind it.  The Chrome-trace
+    dict is built by :func:`event_of` only when something reads it:
+    :attr:`Tracer.events`, :meth:`Tracer.to_dict` and
+    :meth:`Tracer.export` are views over the records.  A record whose
+    argument values are atoms is a tuple of atoms (and one tuple of
+    strings), which the cyclic garbage collector stops tracking after
+    its first pass: a long trace costs one collector-visible allocation
+    per event and slows no later collection down.
+
+This module stays a leaf: it imports the JSON writer of
+:mod:`repro.obs.export` and nothing else of the package, and the tracer
+takes a ``clock`` callable (seconds of virtual time) rather than
+importing the simulator.
 """
 
 from __future__ import annotations
 
-import json
 from enum import IntEnum
-from typing import Any, Callable, Dict, List, Optional
+from itertools import chain
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+
+from repro.obs.export import write_json_document
 
 Clock = Callable[[], float]
+
+#: ``(name, ph, ts, dur, pid, cat, arg_keys, *arg_values)``; ``ts`` and
+#: ``dur`` in microseconds, ``dur`` set on "X" and ``cat`` unset on "C".
+Record = Tuple[Any, ...]
+#: Positions of a record's fixed fields; argument values start at ARGS.
+NAME, PH, TS, DUR, PID, CAT, KEYS, ARGS = range(8)
 
 #: Virtual seconds -> Chrome-trace microseconds.
 _US = 1e6
@@ -111,42 +134,89 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
+def event_of(record: Record) -> Dict[str, Any]:
+    """The Chrome-trace dict of one record (a fresh dict every call)."""
+    name, ph, ts, dur, pid, cat, keys = record[:ARGS]
+    if ph == "i":
+        event = {"name": name, "ph": "i", "s": "t", "ts": ts,
+                 "pid": pid, "tid": 0, "cat": cat}
+    elif ph == "X":
+        event = {"name": name, "ph": "X", "ts": ts, "dur": dur,
+                 "pid": pid, "tid": 0, "cat": cat}
+    else:
+        event = {"name": name, "ph": ph, "ts": ts, "pid": pid, "tid": 0}
+    if keys is not None:
+        event["args"] = dict(zip(keys, record[ARGS:]))
+    return event
+
+
+def record_of(event: Dict[str, Any]) -> Record:
+    """The record of a Chrome-trace dict (inverse of :func:`event_of`
+    for events a tracer wrote; other keys are not kept)."""
+    args = event.get("args")
+    head = (event.get("name", ""), event.get("ph"), event.get("ts", 0.0),
+            event.get("dur"), event.get("pid"), event.get("cat"))
+    if args is None:
+        return head + (None,)
+    return head + (tuple(args), *args.values())
+
+
+def record_args(record: Record) -> Dict[str, Any]:
+    """The ``args`` of a record as a dict (empty without ``args``)."""
+    keys = record[KEYS]
+    return dict(zip(keys, record[ARGS:])) if keys else {}
+
+
+def record_arg(record: Record, key: str) -> Any:
+    """One argument of a record, ``None`` when it has no such key."""
+    keys = record[KEYS]
+    if keys and key in keys:
+        return record[ARGS + keys.index(key)]
+    return None
+
+
 class Tracer:
     """Records trace events against a virtual clock.
 
     Args:
         clock: callable returning virtual time in seconds.
         level: verbosity; call sites consult :attr:`enabled` (LIFECYCLE
-            and up) and :attr:`packets` (PACKET and up).
+            and up) and :attr:`packets` (PACKET and up), both plain
+            attributes fixed at construction.
     """
 
     def __init__(self, clock: Clock, level: TraceLevel = TraceLevel.LIFECYCLE):
         self._clock = clock
         self.level = TraceLevel(level)
-        self._events: List[Dict[str, Any]] = []
+        self.enabled = self.level >= TraceLevel.LIFECYCLE
+        self.packets = self.level >= TraceLevel.PACKET
         self._pids: Dict[str, int] = {}
+        #: Every distinct ``tuple(args)`` seen, mapped to itself.
+        self._arg_keys: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        self._store([])
+
+    def _store(self, records) -> None:
+        """Install the record container (a list here, a ring below)."""
+        self._records = records
+        self._append = records.append
 
     # -- state -------------------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        return self.level >= TraceLevel.LIFECYCLE
-
-    @property
-    def packets(self) -> bool:
-        return self.level >= TraceLevel.PACKET
 
     @property
     def now(self) -> float:
         return self._clock()
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._records)
 
     @property
     def events(self) -> List[Dict[str, Any]]:
         """The recorded events (metadata events excluded)."""
-        return list(self._events)
+        return [event_of(record) for record in self._records]
+
+    def records(self, start: int = 0) -> List[Record]:
+        """The retained records from position ``start`` on, oldest first."""
+        return self._records[start:]
 
     # -- recording ---------------------------------------------------------
 
@@ -157,17 +227,25 @@ class Tracer:
             pid = self._pids[track] = len(self._pids) + 1
             return pid
 
+    def _keys(self, args: Dict[str, Any]) -> Tuple[str, ...]:
+        """The keys of ``args``, as the one tuple kept per key set."""
+        keys = tuple(args)
+        try:
+            return self._arg_keys[keys]
+        except KeyError:
+            self._arg_keys[keys] = keys
+            return keys
+
     def instant(self, name: str, track: str = "sim", cat: str = "event",
                 args: Optional[Dict[str, Any]] = None) -> None:
         """Record a point-in-time event ("i" phase, thread scope)."""
-        event: Dict[str, Any] = {
-            "name": name, "ph": "i", "s": "t",
-            "ts": self._clock() * _US,
-            "pid": self._pid(track), "tid": 0, "cat": cat,
-        }
         if args:
-            event["args"] = args
-        self._events.append(event)
+            self._append((name, "i", self._clock() * _US, None,
+                          self._pid(track), cat,
+                          self._keys(args), *args.values()))
+        else:
+            self._append((name, "i", self._clock() * _US, None,
+                          self._pid(track), cat, None))
 
     def span(self, name: str, track: str = "sim", cat: str = "span",
              args: Optional[Dict[str, Any]] = None) -> Span:
@@ -178,24 +256,20 @@ class Tracer:
                  track: str = "sim", cat: str = "span",
                  args: Optional[Dict[str, Any]] = None) -> None:
         """Record a closed span ("X" complete event) from start to end."""
-        event: Dict[str, Any] = {
-            "name": name, "ph": "X",
-            "ts": start * _US, "dur": max(end - start, 0.0) * _US,
-            "pid": self._pid(track), "tid": 0, "cat": cat,
-        }
+        dur = max(end - start, 0.0) * _US
         if args:
-            event["args"] = args
-        self._events.append(event)
+            self._append((name, "X", start * _US, dur, self._pid(track), cat,
+                          self._keys(args), *args.values()))
+        else:
+            self._append((name, "X", start * _US, dur, self._pid(track), cat,
+                          None))
 
     def counter(self, name: str, values: Dict[str, float],
                 track: str = "sim") -> None:
         """Record a counter sample ("C" event, stacked in the viewer)."""
-        self._events.append({
-            "name": name, "ph": "C",
-            "ts": self._clock() * _US,
-            "pid": self._pid(track), "tid": 0,
-            "args": dict(values),
-        })
+        self._append((name, "C", self._clock() * _US, None,
+                      self._pid(track), None,
+                      self._keys(values), *values.values()))
 
     # -- export ------------------------------------------------------------
 
@@ -208,19 +282,21 @@ class Tracer:
             for track, pid in sorted(self._pids.items(), key=lambda kv: kv[1])
         ]
 
+    def _document(self, events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
+        return {"traceEvents": events, "displayTimeUnit": "ms"}
+
     def to_dict(self) -> Dict[str, Any]:
         """The full trace as a Chrome-trace JSON object."""
-        return {
-            # list() so ring-buffer subclasses (deque storage) export too.
-            "traceEvents": self._metadata() + list(self._events),
-            "displayTimeUnit": "ms",
-        }
+        return self._document(self._metadata() + self.events)
 
     def export(self, path: str) -> str:
-        """Write the trace as Chrome-trace JSON; returns ``path``."""
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle)
-        return path
+        """Write the trace as Chrome-trace JSON; returns ``path``.
+
+        The same bytes as ``json.dump(self.to_dict(), handle)``, but
+        events are materialised and encoded a bounded chunk at a time.
+        """
+        return write_json_document(path, self._document(
+            chain(self._metadata(), map(event_of, self._records))))
 
 
 def merge_traces(

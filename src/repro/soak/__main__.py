@@ -11,10 +11,10 @@ what lets CI use a small soak as a smoke test.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Any, Dict, List, Optional
 
+from repro.obs.export import write_json_document
 from repro.soak import FleetSpec, run_fleet
 
 #: Named flag-default bundles (``--preset NAME``); explicit flags win.
@@ -229,18 +229,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  profile trace written to {args.profile}")
         print(render_profile_table(result.profile))
 
+    path = args.out or ("fleet_audit.json" if args.render else None)
+    if path:
+        write_json_document(path, result.audit)
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(result.audit, handle)
         print(f"  merged audit written to {args.out}")
     if args.render:
         from repro.obs.report import render_run
 
-        path = args.out
-        if path is None:
-            path = "fleet_audit.json"
-            with open(path, "w") as handle:
-                json.dump(result.audit, handle)
         print()
         print(render_run(path, max_rows=args.max_rows or None))
 

@@ -12,7 +12,8 @@ from repro.obs.audit import (
     install_audit,
     merge_snapshots,
 )
-from repro.obs.trace import TraceLevel
+from repro.obs.causality import ChainIndex
+from repro.obs.trace import TraceLevel, Tracer
 from repro.sim.scheduler import Simulator
 from repro.transport.addresses import TransportAddress
 from repro.transport.qos import QoSContract, QoSMeasurement
@@ -152,6 +153,30 @@ class TestVerdicts:
         assert conn["counts"]["met"] == 1
 
 
+class _Clock:
+    """A clock the test sets by hand."""
+
+    t = 0.0
+
+    def __call__(self):
+        return self.t
+
+
+def _record_starved_period(tracer, clock):
+    """The causal chain of a period starved by a link outage, recorded
+    the way the instrumentation does: the outage span closes last."""
+    clock.t = 2.1
+    tracer.instant("tpdu.tx", track="vc:v1", cat="causal",
+                   args={"packet_id": 7, "vc": "v1", "seq": 3,
+                         "kind": "data"})
+    clock.t = 2.15
+    tracer.instant("drop:down", track="link:r->b",
+                   args={"packet_id": 7, "link": "r->b", "flow": "v1"})
+    clock.t = 2.5
+    tracer.complete("fault:outage:r->b", 2.0, 2.5, track="link:r->b",
+                    cat="fault", args={"link": "r->b"})
+
+
 class TestDrilldown:
     def _sim_with_ring(self):
         sim = Simulator()
@@ -159,17 +184,19 @@ class TestDrilldown:
         return sim, auditor
 
     def test_violated_period_drills_to_lost_packets_and_faults(self):
-        sim, auditor = self._sim_with_ring()
-        tracer = sim.trace
-        # Hand-feed the ring the causal chain of a starved period.
-        tracer._events.extend([
-            {"ph": "i", "name": "tpdu.tx", "ts": 2.1 * _US, "cat": "causal",
-             "args": {"packet_id": 7, "vc": "v1", "seq": 3, "kind": "data"}},
-            {"ph": "i", "name": "drop:down", "ts": 2.15 * _US,
-             "args": {"packet_id": 7, "link": "r->b", "flow": "v1"}},
-            {"ph": "X", "name": "fault:outage:r->b", "ts": 2.0 * _US,
-             "dur": 0.5 * _US, "cat": "fault", "args": {"link": "r->b"}},
-        ])
+        self._assert_drilldown(FlightRecorder)
+
+    def test_append_only_tracer_drills_down_the_same(self):
+        self._assert_drilldown(
+            lambda clock: Tracer(clock, TraceLevel.PACKET))
+
+    def _assert_drilldown(self, make_tracer):
+        sim = Simulator()
+        clock = _Clock()
+        sim.trace = make_tracer(clock)
+        auditor = install_audit(sim, max_drilldowns=2)
+        assert auditor._tracer is sim.trace  # an enabled tracer is reused
+        _record_starved_period(sim.trace, clock)
         measurement = _measurement(t0=2.0, t1=3.0, osdus_delivered=0,
                                    throughput_bps=0.0)
         violations = CONTRACT.violations(measurement)
@@ -179,10 +206,73 @@ class TestDrilldown:
         assert drill["sent"] == 1
         assert drill["lost"][0]["packet_id"] == 7
         assert drill["lost"][0]["cause"] == "link-down"
+        assert drill["lost"][0]["where"] == "r->b"
         assert any(
             f["name"] == "fault:outage:r->b" for f in drill["faults"]
         )
         assert drill["violations"][0]["parameter"] == "throughput"
+
+    @staticmethod
+    def _count_ingested(monkeypatch):
+        """Sizes of every batch of records any index is fed from here on."""
+        batches = []
+        extend_records = ChainIndex.extend_records
+
+        def counting(index, records):
+            records = list(records)
+            batches.append(len(records))
+            extend_records(index, records)
+
+        monkeypatch.setattr(ChainIndex, "extend_records", counting)
+        return batches
+
+    def _violate(self, auditor, vc, t0):
+        bad = _measurement(t0=t0, t1=t0 + 1.0, osdus_delivered=0,
+                           throughput_bps=0.0)
+        auditor.record_period(vc, CONTRACT, bad, CONTRACT.violations(bad))
+
+    def test_growing_tracer_is_indexed_once_not_once_per_drilldown(
+            self, monkeypatch):
+        sim = Simulator()
+        clock = _Clock()
+        tracer = sim.trace = Tracer(clock, TraceLevel.PACKET)
+        auditor = install_audit(sim, max_drilldowns=100)
+        batches = self._count_ingested(monkeypatch)
+        drilldowns = 12
+        for k in range(drilldowns):
+            for n in range(50):
+                clock.t = k + n / 50
+                tracer.instant("tpdu.tx", track="vc:v1", cat="causal",
+                               args={"packet_id": 50 * k + n, "vc": "v1",
+                                     "seq": 50 * k + n, "kind": "data"})
+            self._violate(auditor, "v1", float(k))
+        assert len(batches) == drilldowns
+        assert sum(batches) == len(tracer) == 50 * drilldowns
+        conn = auditor.snapshot()["connections"][0]
+        # Every period still sees exactly its own sends (t1 inclusive:
+        # none was sent at a whole second but the period's first).
+        assert [d["sent"] for d in conn["drilldowns"]] == [50] * drilldowns
+        # Nothing recorded in between: the next drill-down ingests nothing.
+        self._violate(auditor, "v1", 0.0)
+        assert batches[-1] == 0
+
+    def test_ring_drilldown_sees_only_the_ring(self, monkeypatch):
+        sim = Simulator()
+        clock = _Clock()
+        ring = sim.trace = FlightRecorder(clock, capacity=8)
+        auditor = install_audit(sim, max_drilldowns=100)
+        batches = self._count_ingested(monkeypatch)
+        for n in range(20):
+            clock.t = n / 20
+            ring.instant("tpdu.tx", track="vc:v1", cat="causal",
+                         args={"packet_id": n, "vc": "v1", "seq": n,
+                               "kind": "data"})
+        self._violate(auditor, "v1", 0.0)
+        self._violate(auditor, "v1", 0.0)
+        # Rebuilt from the ring both times (an index starts out empty).
+        assert [size for size in batches if size] == [8, 8]
+        drills = auditor.snapshot()["connections"][0]["drilldowns"]
+        assert [d["sent"] for d in drills] == [8, 8]  # 12 fell off
 
     def test_drilldowns_are_bounded(self):
         sim, auditor = self._sim_with_ring()

@@ -1,6 +1,10 @@
 """Tests for the packet-id causal chain index."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.obs.causality import ChainIndex
+from repro.obs.trace import TraceLevel, Tracer
 
 _US = 1e6
 
@@ -98,3 +102,112 @@ class TestPerVCQueries:
         assert any(
             f["name"] == "fault:outage:r->b" for f in explanation["faults"]
         )
+
+
+# -- incremental indexing ---------------------------------------------------
+
+PACKETS = st.integers(min_value=1, max_value=6)
+VCS = st.sampled_from(["v1", "v2"])
+#: A coarse grid, so equal timestamps are common.
+TIMES = st.integers(min_value=0, max_value=12).map(lambda k: k * 0.25)
+
+
+@st.composite
+def _trace_events(draw):
+    """Events of every kind the index reads, in *recording* order --
+    which is not timestamp order: spans are recorded when they end."""
+    kind = draw(st.sampled_from(
+        ["tx", "rx", "loss", "drop", "down", "fault", "serialise", "other"]))
+    ts = draw(TIMES)
+    packet = draw(PACKETS)
+    if kind == "tx":
+        return _ev("tpdu.tx", ts, cat="causal", packet_id=packet,
+                   vc=draw(VCS), seq=draw(PACKETS), kind="data")
+    if kind == "rx":
+        return _ev(f"rx:v1#{packet}", ts, packet_id=packet)
+    if kind == "loss":
+        return _ev("loss", ts, packet_id=packet, link="a->b")
+    if kind == "drop":
+        return _ev(draw(st.sampled_from(["drop:down", "drop:buffer"])), ts,
+                   packet_id=packet, track="r->b")
+    if kind == "down":
+        return _ev("link.down", ts, cat="fault", link="r->b",
+                   lost_packet_ids=draw(st.lists(PACKETS, max_size=3)))
+    if kind == "fault":
+        return _ev("fault:outage:r->b", ts, cat="fault",
+                   dur_s=draw(TIMES), link="r->b")
+    if kind == "serialise":
+        return _ev("tx", ts, cat="link", dur_s=0.25, packet_id=packet)
+    return {"ph": "M", "name": "process_name", "args": {"name": "vc:v1"}}
+
+
+def _answers(index):
+    return {
+        "fates": [index.packet_fate(p) for p in range(1, 7)],
+        "events": [index.events_for_packet(p) for p in range(1, 7)],
+        "periods": [
+            index.explain_period(vc, t0, t0 + 1.0)
+            for vc in ("v1", "v2") for t0 in (0.0, 0.75, 2.0)
+        ],
+    }
+
+
+class TestIncrementalIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(events=st.lists(_trace_events(), max_size=40),
+           cuts=st.lists(st.integers(min_value=0, max_value=40), max_size=5))
+    def test_extend_at_any_cut_points_equals_one_build(self, events, cuts):
+        whole = ChainIndex(events)
+        grown = ChainIndex()
+        bounds = sorted({0, len(events), *(c for c in cuts if c < len(events))})
+        for lo, hi in zip(bounds, bounds[1:]):
+            grown.extend(events[lo:hi])
+        assert _answers(grown) == _answers(whole)
+        # The oracle shares no ordering code with the index: fed in
+        # (stable) timestamp order, no chain ever needs a re-sort.
+        in_time_order = sorted(
+            (e for e in events if e["ph"] != "M"), key=lambda e: e["ts"])
+        assert _answers(grown) == _answers(ChainIndex(in_time_order))
+
+    def test_span_recorded_late_sorts_before_later_instants(self):
+        # The serialisation span starts at 1.0 but is recorded at its
+        # end, after the 1.1 loss, and in a later extend() call.
+        index = ChainIndex([_ev("loss", 1.1, packet_id=1, link="a->b")])
+        index.extend([_ev("tx", 1.0, cat="link", dur_s=0.2, packet_id=1)])
+        assert [e["name"] for e in index.events_for_packet(1)] == [
+            "tx", "loss"]
+
+    def test_equal_timestamps_keep_recording_order_across_extends(self):
+        index = ChainIndex([_ev("rx:a", 1.0, packet_id=1)])
+        index.extend([_ev("rx:b", 1.0, packet_id=1)])
+        index.extend([_ev("tx", 0.5, cat="link", dur_s=0.1, packet_id=1),
+                      _ev("rx:c", 1.0, packet_id=1)])
+        assert [e["name"] for e in index.events_for_packet(1)] == [
+            "tx", "rx:a", "rx:b", "rx:c"]
+
+    def test_records_and_their_dicts_index_alike(self):
+        class Clock:
+            t = 0.0
+
+            def __call__(self):
+                return self.t
+
+        clock = Clock()
+        tracer = Tracer(clock, TraceLevel.PACKET)
+        clock.t = 1.0
+        tracer.instant("tpdu.tx", track="vc:v1", cat="causal",
+                       args={"packet_id": 9, "vc": "v1", "seq": 0,
+                             "kind": "data"})
+        clock.t = 1.2
+        tracer.instant("link.down", track="link:r->b", cat="fault",
+                       args={"link": "r->b", "lost_packet_ids": [9]})
+        tracer.complete("tx", 1.05, 1.1, track="link:r->b", cat="link",
+                        args={"packet_id": 9})
+        from_records = ChainIndex()
+        from_records.extend_records(tracer.records())
+        from_dicts = ChainIndex(tracer.to_dict()["traceEvents"])
+        assert from_records.events_for_packet(9) == tracer.events[:1] + [
+            tracer.events[2], tracer.events[1]]
+        assert (from_records.explain_period("v1", 0.5, 1.5)
+                == from_dicts.explain_period("v1", 0.5, 1.5))
+        assert from_records.packet_fate(9)["cause"] == "lost-in-flight"

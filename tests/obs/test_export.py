@@ -1,16 +1,22 @@
 """Tests for the exporters: histogram quantiles, Prometheus, JSON."""
 
+import hashlib
+import io
 import json
 import math
 
 import pytest
 
+from repro.obs import export
+from repro.obs.audit import FlightRecorder
 from repro.obs.export import (
     FixedBucketHistogram,
     prometheus_text,
+    write_json_document,
     write_json_snapshot,
 )
 from repro.obs.registry import MetricsRegistry
+from repro.obs.trace import TraceLevel, Tracer
 
 
 class FakeClock:
@@ -328,3 +334,123 @@ class TestStreamedJsonSnapshot:
             registry.snapshot(), indent=2, sort_keys=True,
         )
         assert open(path).read() == expected
+
+
+def _buffered(document) -> str:
+    """What ``json.dump(document, handle)`` writes."""
+    handle = io.StringIO()
+    json.dump(document, handle)
+    return handle.getvalue()
+
+
+CHUNK = export._CHUNK
+#: Array lengths around the writer's chunk boundaries.
+BOUNDARIES = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 1]
+
+
+class TestJsonDocumentWriter:
+    @pytest.mark.parametrize("length", BOUNDARIES)
+    def test_array_members_byte_identical_at_chunk_boundaries(
+            self, tmp_path, length):
+        document = {
+            "kind": "t",
+            "rows": [{"i": i, "x": i / 7, "s": "é\"\n"} for i in range(length)],
+            "nested": {"a": [1, 2.5, None, True], "inf": float("inf")},
+            "tail": list(range(length)),
+        }
+        path = write_json_document(str(tmp_path / "d.json"), document)
+        assert open(path).read() == _buffered(document)
+
+    def test_iterator_member_is_written_as_an_array(self, tmp_path):
+        rows = [{"i": i} for i in range(CHUNK + 3)]
+        path = write_json_document(
+            str(tmp_path / "d.json"), {"rows": iter(rows), "n": 1})
+        assert open(path).read() == _buffered({"rows": rows, "n": 1})
+
+    def test_empty_document_and_non_string_keys(self, tmp_path):
+        path = write_json_document(str(tmp_path / "d.json"), {})
+        assert open(path).read() == "{}"
+        with pytest.raises(TypeError):
+            write_json_document(str(tmp_path / "e.json"), {1: []})
+
+
+def _fill(tracer, clock, count, with_args):
+    """``count`` events of all three phases on two tracks."""
+    for k in range(count):
+        clock.t = k * 0.125 + 1 / 3
+        args = {"packet_id": k, "vc": "v1", "ok": k % 2 == 0,
+                "ids": [k, k + 1]} if with_args else None
+        if k % 3 == 0:
+            tracer.instant(f"rx:v1#{k}", track="node:b", cat="rx", args=args)
+        elif k % 3 == 1:
+            tracer.complete("tx", clock.t - 0.01, clock.t, track="link:a->b",
+                            cat="link", args=args)
+        else:
+            tracer.counter("queue", {"depth": k, "bytes": k * 1.5}
+                           if with_args else {}, track="link:a->b")
+
+
+class TestTraceExportIdentity:
+    """``Tracer.export`` streams; ``to_dict`` is the reference document."""
+
+    @pytest.mark.parametrize("with_args", [True, False],
+                             ids=["args", "no-args"])
+    @pytest.mark.parametrize("count", BOUNDARIES)
+    def test_tracer(self, tmp_path, count, with_args):
+        clock = FakeClock()
+        tracer = Tracer(clock, TraceLevel.PACKET)
+        _fill(tracer, clock, count, with_args)
+        path = tracer.export(str(tmp_path / "t.json"))
+        assert open(path).read() == _buffered(tracer.to_dict())
+        assert len(tracer.to_dict()["traceEvents"]) == count + min(count, 2)
+
+    @pytest.mark.parametrize("count", BOUNDARIES)
+    def test_flight_recorder(self, tmp_path, count):
+        clock = FakeClock()
+        ring = FlightRecorder(clock, capacity=CHUNK + 1)
+        _fill(ring, clock, count, True)
+        path = ring.export(str(tmp_path / "r.json"))
+        assert open(path).read() == _buffered(ring.to_dict())
+        assert len(ring.snapshot()) == min(count, CHUNK + 1)
+
+    def test_views_are_fresh_dicts_in_the_recorded_key_order(self):
+        clock = FakeClock()
+        tracer = Tracer(clock)
+        _fill(tracer, clock, 3, True)
+        instant, span, counter = tracer.events
+        assert list(instant) == ["name", "ph", "s", "ts", "pid", "tid",
+                                 "cat", "args"]
+        assert list(span) == ["name", "ph", "ts", "dur", "pid", "tid",
+                              "cat", "args"]
+        assert list(counter) == ["name", "ph", "ts", "pid", "tid", "args"]
+        instant["args"]["packet_id"] = "scribbled"
+        assert tracer.events[0]["args"]["packet_id"] == 0
+
+
+#: sha256 over audit.json + trace.json of the ledger's ``film_obs`` stack
+#: (perf/workloads/film.py, seed 1) after 5 virtual seconds of play,
+#: taken at the commit before the record store replaced the dict store.
+FILM_EXPORTS_SHA256 = (
+    "6ce5ef172de02e78609d4ccc09e1842407732c1e1f1ec10bf667628bbb6f4600"
+)
+
+
+def test_film_stack_exports_are_the_same_bytes(tmp_path):
+    from perf.workloads import film
+    from repro.sim.shard import reset_process_state
+
+    reset_process_state()
+    stack = film.build(1, obs=True)
+    groups = [film._Group(stack, g) for g in range(film.GROUPS)]
+    film._stage(stack, groups, "connected", "connect")
+    for group in groups:
+        group.attach_media()
+    film._stage(stack, groups, "started", "orchestrate")
+    stack.run(5.0)
+    digest = hashlib.sha256()
+    for path in (stack.export_audit(str(tmp_path / "audit.json")),
+                 stack.export_trace(str(tmp_path / "trace.json"))):
+        with open(path, "rb") as handle:
+            digest.update(handle.read())
+    assert len(stack.sim.trace) == 31062
+    assert digest.hexdigest() == FILM_EXPORTS_SHA256

@@ -1,6 +1,9 @@
 """Tests for the sim-time tracer and its Chrome-trace export."""
 
+import gc
 import json
+
+import pytest
 
 from repro.ansa.stream import AudioQoS
 from repro.core.runtime import Stack
@@ -24,6 +27,35 @@ class TestTracer:
         assert lifecycle.enabled and not lifecycle.packets
         packet = Tracer(FakeClock(), TraceLevel.PACKET)
         assert packet.enabled and packet.packets
+
+    def test_guards_are_plain_attributes(self):
+        """Instrumented sites evaluate ``trace.enabled`` / ``.packets``
+        per packet: an attribute load, as on :class:`NullTracer`, not a
+        property call."""
+        tracer = Tracer(FakeClock(), TraceLevel.PACKET)
+        for guard in ("enabled", "packets"):
+            assert guard in vars(tracer)
+            assert not isinstance(getattr(Tracer, guard, None), property)
+            assert getattr(NULL_TRACER, guard) is False
+
+    def test_atom_only_records_leave_the_cyclic_gc(self):
+        clock = FakeClock()
+        tracer = Tracer(clock, TraceLevel.PACKET)
+        tracer.instant("tpdu.tx", track="vc:v1", cat="causal",
+                       args={"packet_id": 7, "vc": "v1", "ok": True})
+        tracer.complete("tx", 0.0, 0.5, track="link:a->b", cat="link")
+        tracer.counter("queue", {"depth": 3})
+        tracer.instant("link.down", track="link:a->b", cat="fault",
+                       args={"lost_packet_ids": [7]})
+        # A key tuple seen for the first time is untracked by one pass,
+        # the record holding it by the next; later records with those
+        # keys go in their first.
+        gc.collect()
+        gc.collect()
+        atoms, bare, counter, with_list = tracer.records()
+        assert not any(map(gc.is_tracked, (atoms, bare, counter)))
+        assert gc.is_tracked(with_list)  # a list may close a cycle
+        assert len(tracer) == len(tracer.events) == 4
 
     def test_instant_and_complete_events(self):
         clock = FakeClock()
@@ -84,6 +116,41 @@ class TestTracer:
         bad = tmp_path / "bad.json"
         bad.write_text('{"notTraceEvents": []}')
         assert report_main([str(bad)]) == 1
+
+    @pytest.mark.parametrize("event, complaint", [
+        ({"ph": "X", "name": "a", "dur": 1}, "no numeric 'ts'"),
+        ({"ph": "i", "name": "a", "ts": "5"}, "no numeric 'ts'"),
+        ({"ph": "i", "name": "a", "ts": True}, "no numeric 'ts'"),
+        ({"ph": "X", "name": "a", "ts": 1, "dur": "x"},
+         "non-numeric 'dur'"),
+        ({"ph": "X", "name": "a", "ts": 1, "dur": None},
+         "non-numeric 'dur'"),
+    ])
+    def test_report_cli_names_the_wrong_shape_event(
+            self, tmp_path, capsys, event, complaint):
+        """A wrong-shape event used to surface as an interpreter
+        message (``min() arg is an empty sequence``, ``can only
+        concatenate str``); it is named by index instead."""
+        meta = {"ph": "M", "name": "process_name", "pid": 1,
+                "args": {"name": "vc:v1"}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"traceEvents": [meta, event]}))
+        assert report_main([str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid trace: trace event 1 ")
+        assert complaint in err
+        with pytest.raises(ValueError, match="trace event 1 "):
+            load_events(str(bad))
+
+    def test_report_cli_metadata_only_trace_has_no_events(
+            self, tmp_path, capsys):
+        path = tmp_path / "meta.json"
+        path.write_text(json.dumps({"traceEvents": [
+            {"ph": "M", "name": "process_name", "pid": 1,
+             "args": {"name": "vc:v1"}},
+        ]}))
+        assert report_main([str(path)]) == 0
+        assert "no events" in capsys.readouterr().out
 
 
 def _one_vc_stack():
