@@ -600,7 +600,6 @@ def _iter_array(name: str, items, count: int):
 def merge_snapshots(
     snapshots: List[Dict[str, Any]],
     labels: Optional[List[str]] = None,
-    namespace: bool = False,
 ) -> Dict[str, Any]:
     """Fold several audit snapshots into one document.
 
@@ -608,17 +607,15 @@ def merge_snapshots(
     histograms with the same bucket layout add, mismatched layouts keep
     the first seen.  Attached sections collect per-snapshot values into
     a list per name (the report CLI renders one block per source).
+    This is the one builder of merged audits: a sharded fleet's
+    :class:`~repro.obs.stream.DeltaFolder` hands it each shard's folded
+    state.
 
     Identity rule: VC and session ids must be disjoint across the
     inputs.  Sharded fleets guarantee this structurally (host names --
-    and therefore vc ids -- are namespaced per shard at build time), so
-    they merge with ``namespace=False`` and ids survive unchanged,
-    keeping merged conformance comparable to an unsharded baseline.
-    When the inputs *reuse* an id space (e.g. several independent runs
-    of one scenario), pass ``namespace=True`` with per-snapshot
-    ``labels``: every connection's ``vc`` and group's ``session`` gains
-    a ``"<label>/"`` prefix.  Namespacing is shallow -- ids quoted
-    inside drill-downs or timelines keep their original spelling.
+    and therefore vc ids -- are global, each host built on exactly one
+    shard), so ids survive unchanged, keeping merged conformance
+    comparable to an unsharded baseline.
 
     With ``labels`` given (or more than one snapshot), the merged
     document records its provenance under ``merged_from``; the report
@@ -628,27 +625,14 @@ def merge_snapshots(
         raise ValueError(
             f"got {len(labels)} labels for {len(snapshots)} snapshots"
         )
-    if namespace and labels is None:
-        raise ValueError("namespace=True requires labels")
     connections: List[Dict[str, Any]] = []
     groups: List[Dict[str, Any]] = []
     hists: Dict[str, FixedBucketHistogram] = {}
     sections: Dict[str, List[Any]] = {}
     now = 0.0
-    for index, snap in enumerate(snapshots):
-        if namespace:
-            prefix = f"{labels[index]}/"
-            connections.extend(
-                {**conn, "vc": prefix + str(conn.get("vc"))}
-                for conn in snap.get("connections", ())
-            )
-            groups.extend(
-                {**group, "session": prefix + str(group.get("session"))}
-                for group in snap.get("groups", ())
-            )
-        else:
-            connections.extend(snap.get("connections", ()))
-            groups.extend(snap.get("groups", ()))
+    for snap in snapshots:
+        connections.extend(snap.get("connections", ()))
+        groups.extend(snap.get("groups", ()))
         now = max(now, snap.get("now", 0.0))
         for name, value in snap.get("sections", {}).items():
             sections.setdefault(name, []).append(value)
@@ -682,7 +666,8 @@ def merge_snapshots(
         merged["merged_from"] = {
             "snapshots": len(snapshots),
             "labels": list(labels) if labels is not None else None,
-            "namespaced": bool(namespace),
+            # Ids are never rewritten; the key keeps the document shape.
+            "namespaced": False,
         }
     if sections:
         # Per-shard section values are preserved as a list per name;

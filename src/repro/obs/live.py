@@ -38,7 +38,11 @@ from repro.obs.slo import (
     render_statuses,
 )
 
-__all__ = ["main", "iter_records"]
+__all__ = ["LogError", "main", "iter_records"]
+
+
+class LogError(ValueError):
+    """A telemetry log that cannot be opened or holds a non-record line."""
 
 
 def iter_records(path: str, follow: bool = False,
@@ -47,17 +51,32 @@ def iter_records(path: str, follow: bool = False,
 
     Partial trailing lines (a writer mid-``write``) are buffered until
     their newline arrives.  In follow mode the iterator only returns
-    after a ``final`` record; interrupt to stop early.
+    after a ``final`` record; interrupt to stop early.  Raises
+    :class:`LogError` naming ``path`` (and ``path:line`` for a line
+    that is not a JSON object).
     """
-    with open(path) as handle:
+    try:
+        handle = open(path)
+    except OSError as exc:
+        raise LogError(f"{path}: {exc.strerror}") from None
+    with handle:
         pending = ""
+        lineno = 0
         while True:
             chunk = handle.readline()
             if chunk:
                 pending += chunk
                 if not pending.endswith("\n"):
                     continue
-                record = json.loads(pending)
+                lineno += 1
+                try:
+                    record = json.loads(pending)
+                except ValueError:
+                    record = None
+                if not isinstance(record, dict):
+                    raise LogError(
+                        f"{path}:{lineno}: not a JSON telemetry record"
+                    )
                 pending = ""
                 yield record
                 if record.get("kind") == "final":
@@ -91,8 +110,7 @@ def _describe(record: Dict[str, Any], slos: List[SLO]) -> str:
     return line
 
 
-def _main_tail(args: argparse.Namespace) -> int:
-    slos = _slos(args.slo)
+def _main_tail(args: argparse.Namespace, slos: List[SLO]) -> int:
     last: Optional[Dict[str, Any]] = None
     try:
         for record in iter_records(args.log, follow=args.follow,
@@ -111,8 +129,7 @@ def _main_tail(args: argparse.Namespace) -> int:
     return 0
 
 
-def _main_check(args: argparse.Namespace) -> int:
-    slos = _slos(args.slo)
+def _main_check(args: argparse.Namespace, slos: List[SLO]) -> int:
     final: Optional[Dict[str, Any]] = None
     last: Optional[Dict[str, Any]] = None
     count = 0
@@ -205,9 +222,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     check.add_argument("--allow-pending", action="store_true",
                        help="don't fail on pending SLOs / missing final")
     args = parser.parse_args(argv)
-    if args.mode == "tail":
-        return _main_tail(args)
-    return _main_check(args)
+    try:
+        slos = _slos(args.slo)
+    except ValueError as exc:
+        parser.error(f"--slo: {exc}")
+    run = _main_tail if args.mode == "tail" else _main_check
+    try:
+        return run(args, slos)
+    except LogError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -21,9 +21,7 @@ sharded ``python -m repro.soak`` run emits) render through the same
 path: the header names the source shards, attached sections render one
 block per source, and the per-VC table is capped at ``--max-rows``
 rows (worst conformance first) so a 100k-VC fleet report stays
-readable.  The merge relies on VC ids being disjoint across sources --
-sharded fleets namespace host names per shard, independent runs must
-merge with ``namespace=True`` -- so every table row keeps a unique id.
+readable.
 
 Both forms exit non-zero with a one-line message when the file is
 missing, truncated, or not valid JSON of the expected shape.
@@ -369,7 +367,7 @@ def _controlplane_section(
     in merge order.  Each source renders as its own block, headed by
     the matching merge label (``merged_from.labels``) when available,
     else by its 1-based position.  Stream ids inside each block are
-    shard-local names; the id-namespacing rule (see
+    shard-local names; the merge identity rule (see
     :func:`repro.obs.audit.merge_snapshots`) guarantees they are
     already disjoint across sources, so no re-prefixing happens here.
     """
@@ -460,8 +458,6 @@ def render_run(path: str, max_rows: Optional[int] = 200) -> str:
         blocks.append(
             f"Merged from {merged_from.get('snapshots', '?')} "
             f"snapshot(s): {origin}"
-            + (" (vc ids namespaced per source)"
-               if merged_from.get("namespaced") else "")
         )
     baseline_diff = data.get("baseline_diff")
     if baseline_diff is not None:

@@ -1,27 +1,23 @@
-"""Streaming observability: per-window snapshot deltas and their folder.
+"""Fleet telemetry as deltas: the worker-side encoder, the coordinator fold.
 
-PR 8's sharded soak ships each worker's *whole* audit and metrics
-snapshot at finish time, so the coordinator's peak RSS is O(fleet) --
-the per-shard documents, their pickle buffers and the merged copy all
-coexist (see docs/SCALING.md).  This module makes the telemetry
-incremental instead:
+A sharded run's audit and metrics reach the coordinator only as deltas,
+folded by one :class:`DeltaFolder`.  ``FleetSpec.stream`` sets only the
+cadence -- a delta at every synchronization barrier, or one final delta
+per worker -- and both fold to the same bytes.
 
-- :class:`DeltaEncoder` runs inside a shard worker.  At every
-  synchronization barrier it emits a *delta*: counter/gauge/window
-  values that changed, audit verdict periods filed, renegotiations,
-  releases and drill-downs appended since the previous barrier.  The
-  encoder piggybacks on the ``("window", ...)`` pipe message of
-  :mod:`repro.sim.shard.runner`, so streaming adds zero extra round
-  trips.
+- :class:`DeltaEncoder` runs inside a shard worker.  Each call emits
+  what changed since the previous one: counter/gauge/window values,
+  audit verdict periods filed, renegotiations, releases and drill-downs
+  appended.  Barrier deltas piggyback on the ``("window", ...)`` pipe
+  message of :mod:`repro.sim.shard.runner` (zero extra round trips);
+  the final delta travels in the worker's ``collect()`` payload.
 - :class:`DeltaFolder` runs inside the coordinator.  It folds each
-  delta into per-shard state as it arrives and, at finish time,
-  reproduces **byte-for-byte** the documents the snapshot-merge path
-  (:func:`repro.obs.audit.merge_snapshots` /
-  :func:`repro.obs.registry.merge_snapshots`) would have produced --
-  the property tests in ``tests/obs/test_stream.py`` pin this.  The
-  folder also maintains an O(1) rolling summary (conformance so far,
-  first breach time, skew bound overshoots) that feeds the live SLO
-  watcher (:mod:`repro.obs.live`).
+  delta into per-shard state as it arrives and at finish time hands
+  that state to the one document builder,
+  :func:`repro.obs.audit.merge_snapshots` /
+  :func:`repro.obs.registry.merge_snapshots`.  It also maintains an
+  O(1) rolling summary (conformance so far, first breach time, skew
+  bound overshoots) for the live SLO watcher (:mod:`repro.obs.live`).
 - :class:`LiveWriter` appends rolling records as JSON lines to any
   file-like sink, one line per barrier plus one final record, flushed
   eagerly so ``tail -f`` and the watch CLI see them immediately.
@@ -51,8 +47,7 @@ import json
 import sys
 from typing import Any, Dict, List, Optional, TextIO, Tuple
 
-from repro.obs.audit import _contract_dict, _summarize
-from repro.obs.export import FixedBucketHistogram
+from repro.obs.audit import _contract_dict, merge_snapshots
 from repro.obs.registry import merge_snapshots as _merge_metrics
 
 __all__ = [
@@ -342,9 +337,9 @@ class DeltaFolder:
     Resident state is exactly one evolving copy of the merged document
     (which the run's output needs anyway) plus O(1) rolling aggregates;
     the per-window transient is one delta.  ``result_audit()`` /
-    ``result_metrics()`` return documents byte-identical (same values,
-    same key order) to what the finish-time
-    ``merge_snapshots(per-shard snapshots, labels=...)`` path produces.
+    ``result_metrics()`` pass each shard's folded state to the
+    ``merge_snapshots`` builders, so they equal (same values, same key
+    order) a merge of the shards' finish-time snapshots.
     """
 
     def __init__(self, shards: int, labels: Optional[List[str]] = None,
@@ -535,9 +530,11 @@ class DeltaFolder:
 
     def result_audit(self) -> Dict[str, Any]:
         """The merged audit document (see class docstring for identity)."""
-        connections: List[Dict[str, Any]] = []
+        snapshots: List[Dict[str, Any]] = []
         for shard in range(self.shards):
-            for conn in self._conns[shard].values():
+            conns = self._conns[shard]
+            # Counts fold sparsely, so conformance is derived once here.
+            for conn in conns.values():
                 counts = conn["counts"]
                 judged = (
                     counts["met"] + counts["degraded"] + counts["violated"]
@@ -545,60 +542,17 @@ class DeltaFolder:
                 conn["conformance"] = (
                     counts["met"] / judged if judged else None
                 )
-                connections.append(conn)
-        groups: List[Dict[str, Any]] = []
-        for shard in range(self.shards):
-            groups.extend(self._groups[shard].values())
-        hists: Dict[str, FixedBucketHistogram] = {}
-        for shard in range(self.shards):
-            for name, data in self._hists[shard].items():
-                incoming = FixedBucketHistogram.from_dict(data)
-                existing = hists.get(name)
-                if existing is None:
-                    hists[name] = incoming
-                elif (existing.lo, existing.hi, existing.buckets) == (
-                    incoming.lo, incoming.hi, incoming.buckets
-                ):
-                    for idx, count in enumerate(incoming.counts):
-                        existing.counts[idx] += count
-                    existing.underflow += incoming.underflow
-                    existing.overflow += incoming.overflow
-                    existing.count += incoming.count
-                    existing.total += incoming.total
-                    existing.minimum = min(
-                        existing.minimum, incoming.minimum
-                    )
-                    existing.maximum = max(
-                        existing.maximum, incoming.maximum
-                    )
-        sections: Dict[str, List[Any]] = {}
-        for shard in range(self.shards):
-            for name, value in self._sections[shard].items():
-                sections.setdefault(name, []).append(value)
-        merged = {
-            "kind": "repro-audit",
-            "now": max(self._now, default=0.0),
-            "summary": _summarize(connections),
-            "connections": connections,
-            "groups": groups,
-            "histograms": {
-                name: hist.to_dict() for name, hist in hists.items()
-            },
-        }
-        if self.labels is not None or self.shards > 1:
-            merged["merged_from"] = {
-                "snapshots": self.shards,
-                "labels": (
-                    list(self.labels) if self.labels is not None else None
-                ),
-                "namespaced": False,
-            }
-        if sections:
-            merged["sections"] = sections
-        return merged
+            snapshots.append({
+                "now": self._now[shard],
+                "connections": conns.values(),
+                "groups": self._groups[shard].values(),
+                "histograms": self._hists[shard],
+                "sections": self._sections[shard],
+            })
+        return merge_snapshots(snapshots, labels=self.labels)
 
     def result_metrics(self) -> Dict[str, Any]:
-        """The merged registry document (empty-shaped when un-streamed)."""
+        """The merged registry document (empty-shaped without metrics)."""
         return _merge_metrics(self._metrics if self._have_metrics else [])
 
 

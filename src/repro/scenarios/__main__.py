@@ -79,8 +79,8 @@ def _parser() -> argparse.ArgumentParser:
     cell.add_argument("--duration", type=float, default=None,
                       help="virtual seconds to simulate")
     cell.add_argument("--stream", action="store_true",
-                      help="per-window telemetry deltas instead of "
-                           "finish-time snapshots (sharded cells only)")
+                      help="telemetry deltas at every barrier, not only "
+                           "at finish (sharded cells only)")
     cell.add_argument("--live", default=None, metavar="PATH|FD",
                       help="rolling JSONL telemetry sink ('-' for "
                            "stdout); tail with python -m repro.obs.live")
@@ -146,7 +146,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.live is not None:
             from repro.obs.stream import open_live_sink
 
-            live_sink, close_live = open_live_sink(args.live)
+            try:
+                live_sink, close_live = open_live_sink(args.live)
+            except OSError as exc:
+                parser.error(f"--live {args.live}: {exc.strerror}")
         try:
             result = run_cell(
                 spec, stream=args.stream, live=live_sink,

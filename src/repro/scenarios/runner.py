@@ -77,9 +77,9 @@ def run_cell(
 ) -> FleetResult:
     """Execute one scenario cell (inline unless the spec shards it).
 
-    ``stream`` switches a sharded cell to per-window telemetry deltas
-    (byte-identical merged documents, O(active window) coordinator
-    state); ``live`` is an optional JSONL sink passed through to
+    ``stream`` makes a sharded cell ship telemetry deltas at every
+    barrier instead of only at finish (byte-identical merged
+    documents); ``live`` is an optional JSONL sink passed through to
     :func:`repro.soak.run_fleet` for rolling SLO telemetry.
     """
     fleet = compile_spec(spec, faults)

@@ -915,6 +915,7 @@ class Process(Waitable):
         self.finished = Event(sim)
         self._detach: Optional[Callable[[], None]] = None
         self._alive = True
+        self._advances = 0  # generator steps taken (see interrupt())
         sim.process_count += 1
         if sim.trace.enabled:
             sim.trace.instant(
@@ -930,6 +931,7 @@ class Process(Waitable):
         if not self._alive:
             return
         self._detach = None
+        self._advances += 1
         try:
             waitable = self.gen.send(value)
         except StopIteration as stop:
@@ -940,11 +942,7 @@ class Process(Waitable):
     def _throw(self, exc: BaseException) -> None:
         if not self._alive:
             return
-        if self._detach is not None:
-            # A resume already in flight when interrupt() ran has parked
-            # the process on another waitable since: leave that one too.
-            self._detach()
-            self._detach = None
+        self._advances += 1
         try:
             waitable = self.gen.throw(exc)
         except StopIteration as stop:
@@ -978,7 +976,13 @@ class Process(Waitable):
         if self._detach is not None:
             self._detach()
             self._detach = None
-        self.sim.call_soon(lambda: self._throw(Interrupt(cause)))
+        advances = self._advances
+        # Resumed and parked again meanwhile: interrupt it there, behind any
+        # wake-up it already queued (a semaphore unit, a queue item).
+        self.sim.call_soon(
+            lambda: self._throw(Interrupt(cause))
+            if self._advances == advances else self.interrupt(cause)
+        )
 
     def _await(self, callback: Callable[[Any], None]) -> Callable[[], None]:
         return self.finished._await(callback)

@@ -32,9 +32,9 @@ results (snapshots, counters) once the run finishes.
 attribute (a :class:`repro.obs.stream.DeltaEncoder`) ships what changed
 since the previous barrier inside the window message the worker sends
 anyway -- zero extra round trips -- and ``None`` when idle or when the
-context doesn't stream.  The *final* delta travels inside the
-``collect()`` payload (streaming contexts put it under ``"delta"``),
-not in a window message.
+context doesn't stream.  A *final* delta travels inside the
+``collect()`` payload, not in a window message (the soak fleet puts
+one under ``"delta"`` whether or not it streamed).
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@
 pump cells, control-plane pairs, optional cross-shard ring traffic --
 either inline (one simulator, the baseline) or sharded across ``N``
 worker processes via :func:`repro.sim.shard.run_sharded`, then folds
-the per-shard audit/metrics/trace snapshots into one fleet document
-(:func:`repro.obs.audit.merge_snapshots` and friends) that
+the workers' telemetry deltas into one fleet document
+(:class:`repro.obs.stream.DeltaFolder`) that
 ``python -m repro.obs.report run`` renders as a single report.
 
 The package's contract (tested in ``tests/integration``): a 1-shard
@@ -20,9 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.obs.audit import merge_snapshots
 from repro.obs.profile import merge_profiles
-from repro.obs.registry import merge_snapshots as merge_metrics
 from repro.obs.stream import DeltaFolder, LiveWriter
 from repro.obs.trace import merge_traces
 from repro.sim.shard import reset_process_state, run_sharded
@@ -213,11 +211,10 @@ def run_fleet(
     protocol.  ``window`` and ``mp_context`` pass through to
     :func:`repro.sim.shard.run_sharded`.
 
-    With ``spec.stream`` set (sharded runs only), workers ship
-    per-barrier telemetry deltas that a :class:`DeltaFolder` folds as
-    they arrive, and the merged audit/metrics come out of the folder --
-    byte-identical to the snapshot-merge path, without the per-shard
-    finish-time snapshots ever existing.  ``live`` is an optional
+    A sharded run's audit/metrics come out of one :class:`DeltaFolder`
+    fed with the workers' telemetry deltas; ``spec.stream`` only sets
+    their cadence (every barrier, or one final delta per worker), and
+    both cadences fold to the same documents.  ``live`` is an optional
     file-like sink: one rolling JSON line per barrier (streaming runs)
     plus a ``final`` record (every run), consumed by
     ``python -m repro.obs.live``.  The caller owns closing the sink.
@@ -234,9 +231,8 @@ def run_fleet(
         result = FleetResult(
             spec=spec, mode="inline", lookahead=lookahead,
             wall_s=time.perf_counter() - started,
-            payloads=[payload],
-            audit=payload["audit"], metrics=payload["metrics"],
-            trace=payload["trace"],
+            payloads=[payload], audit=ctx.auditor.snapshot(),
+            metrics=ctx.sim.metrics.snapshot(), trace=payload["trace"],
         )
         if payload.get("profile") is not None:
             result.profile = merge_profiles([payload["profile"]])
@@ -247,40 +243,27 @@ def run_fleet(
             ))
         return result
     labels = [f"s{k}" for k in range(spec.shards)]
-    folder: Optional[DeltaFolder] = None
-    on_delta = None
-    barrier_cb = progress
-    if spec.stream:
-        folder = DeltaFolder(
-            spec.shards, labels=labels, max_timeline=spec.max_timeline,
-        )
+    folder = DeltaFolder(
+        spec.shards, labels=labels, max_timeline=spec.max_timeline,
+    )
 
-        def on_delta(shard: int, _t_end: float, delta: Any) -> None:
-            folder.fold(shard, delta)
+    def on_delta(shard: int, _t_end: float, delta: Any) -> None:
+        folder.fold(shard, delta)
 
-        def barrier_cb(t_end: float, windows: int,
-                       _user: Optional[Callable] = progress) -> None:
-            folder.windows = windows
-            if writer is not None:
-                writer.write({"kind": "window", **folder.rolling()})
-            if _user is not None:
-                _user(t_end, windows)
+    def barrier_cb(t_end: float, windows: int) -> None:
+        folder.windows = windows
+        if writer is not None and spec.stream:
+            writer.write({"kind": "window", **folder.rolling()})
+        if progress is not None:
+            progress(t_end, windows)
 
     run = run_sharded(
         build_fleet_shard, spec.shards, until=spec.duration,
         lookahead=lookahead, args=(spec,), window=window,
         mp_context=mp_context, progress=barrier_cb, on_delta=on_delta,
     )
-    if folder is not None:
-        for payload in run.results:
-            folder.fold(payload["shard"], payload.pop("delta", None))
-        audit = folder.result_audit()
-        metrics = folder.result_metrics()
-    else:
-        audit = merge_snapshots(
-            [p["audit"] for p in run.results], labels=labels,
-        )
-        metrics = merge_metrics([p["metrics"] for p in run.results])
+    for payload in run.results:
+        folder.fold(payload["shard"], payload.pop("delta"))
     trace = None
     if spec.trace:
         trace = merge_traces(
@@ -294,11 +277,11 @@ def run_fleet(
     result = FleetResult(
         spec=spec, mode="sharded", lookahead=lookahead,
         wall_s=run.wall_s, windows=run.windows, messages=run.messages,
-        payloads=run.results, audit=audit, metrics=metrics, trace=trace,
-        profile=profile,
+        payloads=run.results, audit=folder.result_audit(),
+        metrics=folder.result_metrics(), trace=trace, profile=profile,
     )
     if writer is not None:
         writer.write(_final_record(
-            audit, run.results, run.windows, run.wall_s,
+            result.audit, run.results, run.windows, run.wall_s,
         ))
     return result

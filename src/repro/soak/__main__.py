@@ -98,8 +98,9 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--mp-context", default="spawn",
                         choices=("spawn", "fork", "forkserver"))
     parser.add_argument("--stream", action="store_true",
-                        help="ship per-window telemetry deltas instead of "
-                             "finish-time snapshots (sharded runs only)")
+                        help="ship telemetry deltas at every barrier, not "
+                             "only at finish (sharded runs only; same "
+                             "merged documents)")
     parser.add_argument("--live", default=None, metavar="PATH|FD",
                         help="write rolling JSONL telemetry records here "
                              "('-' for stdout, digits for an inherited fd); "
@@ -133,6 +134,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if preview.preset:
         parser.set_defaults(**PRESETS[preview.preset])
     args = parser.parse_args(argv)
+    if args.timeline < 0:
+        parser.error(f"--timeline must be >= 0, got {args.timeline}")
+    if args.window is not None and not args.window > 0:
+        parser.error(f"--window must be positive, got {args.window}")
     spec = FleetSpec(
         cells=args.cells,
         vcs_per_cell=args.vcs_per_cell,
@@ -171,7 +176,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.live is not None:
         from repro.obs.stream import open_live_sink
 
-        live_sink, close_live = open_live_sink(args.live)
+        try:
+            live_sink, close_live = open_live_sink(args.live)
+        except OSError as exc:
+            parser.error(f"--live {args.live}: {exc.strerror}")
     try:
         result = run_fleet(
             spec, inline=args.inline, window=args.window,

@@ -1,13 +1,12 @@
-"""Streaming telemetry equals snapshot merging, over real fleets.
+"""Both delta cadences fold to the same fleet documents, over real fleets.
 
-The PR 10 contract extending ``docs/SCALING.md``: a sharded run whose
-workers ship per-window deltas (``FleetSpec.stream``) must produce the
-same merged audit and metrics documents -- byte for byte -- as the
-finish-time snapshot-merge path, while the coordinator only ever holds
-one evolving copy of the merged document.  Pinned over a plain
-cross-traffic fleet with control planes, and over a chaotic scenario
-cell where faults drive renegotiations, releases and drill-downs
-through the delta encoder.
+The contract extending ``docs/SCALING.md``: a sharded run's workers
+ship telemetry only as deltas, folded by one ``DeltaFolder``.  Whether
+they ship one per barrier (``FleetSpec.stream``) or only a final one,
+the merged audit and metrics documents must be the same, byte for
+byte.  Pinned over a plain cross-traffic fleet with control planes,
+and over a chaotic scenario cell where faults drive renegotiations,
+releases and drill-downs through the delta encoder.
 
 Spawned worker processes make these slow; specs stay CI-small.
 """
@@ -15,6 +14,7 @@ Spawned worker processes make these slow; specs stay CI-small.
 import dataclasses
 import json
 
+from repro.obs.stream import DeltaFolder
 from repro.scenarios.runner import run_cell
 from repro.scenarios.spec import parse_scenario_id
 from repro.soak import FleetSpec, run_fleet
@@ -30,15 +30,28 @@ def _dumps(doc) -> str:
 
 
 class TestStreamedFleetIdentity:
-    def test_streamed_documents_byte_identical_to_merge(self):
+    def test_streamed_documents_byte_identical_to_merge(self, monkeypatch):
+        folded = []
+        fold = DeltaFolder.fold
+
+        def counting_fold(folder, shard, delta):
+            if delta is not None:
+                folded.append(shard)
+            fold(folder, shard, delta)
+
+        monkeypatch.setattr(DeltaFolder, "fold", counting_fold)
         merged = run_fleet(SPEC)
+        # Without streaming, each worker's final delta is its only one.
+        assert sorted(folded) == list(range(SPEC.shards))
+        del folded[:]
         streamed = run_fleet(dataclasses.replace(SPEC, stream=True))
+        assert len(folded) > SPEC.shards
         assert _dumps(streamed.audit) == _dumps(merged.audit)
         assert _dumps(streamed.metrics) == _dumps(merged.metrics)
-        # Streaming workers never ship finish-time snapshots at all.
-        assert all(p["audit"] is None for p in streamed.payloads)
-        assert all(p["metrics"] is None for p in streamed.payloads)
-        assert all(p["audit"] is not None for p in merged.payloads)
+        # Workers never ship audit or registry snapshots, in either
+        # cadence.
+        for payload in (*merged.payloads, *streamed.payloads):
+            assert "audit" not in payload and "metrics" not in payload
 
     def test_chaotic_sharded_cell_streams_identically(self):
         spec = dataclasses.replace(

@@ -1,10 +1,10 @@
 """The sharded-run merge pipeline: traces, metrics, audits, reports.
 
-A sharded soak produces one snapshot per worker; these tests pin the
-merge semantics each layer promises -- trace pid re-namespacing,
-additive metrics, audit identity rules (disjoint ids pass through,
-colliding ids namespace per label) -- and that a >2-shard merged audit
-renders one coherent report through ``repro.obs.report``.
+A sharded soak folds one worker's telemetry per shard; these tests pin
+the merge semantics each layer promises -- trace pid re-namespacing,
+additive metrics, audit identity rules (disjoint ids pass through with
+provenance) -- and that a >2-shard merged audit renders one coherent
+report through ``repro.obs.report``.
 """
 
 import json
@@ -143,21 +143,7 @@ class TestMergeAudits:
         }
         assert merged["summary"]["connections"] == 6
 
-    def test_namespace_prefixes_colliding_ids(self):
-        snaps = [_audit_snapshot(["vc0"]), _audit_snapshot(["vc0"])]
-        merged = merge_snapshots(
-            snaps, labels=["east", "west"], namespace=True
-        )
-        assert [c["vc"] for c in merged["connections"]] == [
-            "east/vc0", "west/vc0",
-        ]
-        assert merged["merged_from"]["namespaced"] is True
-        # Inputs were not mutated.
-        assert snaps[0]["connections"][0]["vc"] == "vc0"
-
-    def test_namespace_requires_labels_and_counts_must_match(self):
-        with pytest.raises(ValueError, match="labels"):
-            merge_snapshots([_audit_snapshot(["a"])], namespace=True)
+    def test_label_count_must_match_snapshots(self):
         with pytest.raises(ValueError, match="labels"):
             merge_snapshots([_audit_snapshot(["a"])], labels=["x", "y"])
 

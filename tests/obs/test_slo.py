@@ -156,3 +156,29 @@ class TestLiveCLI:
         out = capsys.readouterr().out
         assert "final" in out
         assert "OK" in out
+
+    @pytest.mark.parametrize("mode", ["check", "tail"])
+    def test_missing_log_names_the_path(self, mode, tmp_path, capsys):
+        path = str(tmp_path / "absent.jsonl")
+        assert live.main([mode, path]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == f"{path}: No such file or directory"
+
+    @pytest.mark.parametrize("bad", ["{not json", "[1, 2]"])
+    def test_malformed_line_names_its_number(self, bad, tmp_path, capsys):
+        path = str(tmp_path / "log.jsonl")
+        with open(path, "w") as handle:
+            handle.write(json.dumps({"kind": "window", "t": 1.0}) + "\n")
+            handle.write(bad + "\n")
+        assert live.main(["check", path]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"{path}:2: not a JSON telemetry record"]
+
+    def test_unparseable_slo_is_a_usage_error(self, tmp_path, capsys):
+        path = str(tmp_path / "log.jsonl")
+        _write_log(path, [RECORD])
+        with pytest.raises(SystemExit) as excinfo:
+            live.main(["check", path, "--slo", "bogus"])
+        assert excinfo.value.code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "--slo" in last and "bogus" in last

@@ -14,7 +14,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.audit import QoSAuditor, merge_snapshots
@@ -118,6 +118,13 @@ class TestDeltaRoundTrip:
         script=st.lists(_OP, max_size=60),
         barriers=st.sets(st.integers(min_value=0, max_value=59)),
     )
+    # The final-delta-only cadence (a sharded run without ``stream``):
+    # one encoder call ships the whole run.
+    @example(script=[], barriers=set())
+    @example(script=[(k, k % 4, 0.5) for k in range(14)], barriers=set())
+    @example(
+        script=[(k % 14, k % 3, k / 40) for k in range(40)], barriers=set(),
+    )
     def test_folded_deltas_equal_snapshot_merge(self, script, barriers):
         sim = FakeSim()
         auditor = QoSAuditor(sim)
@@ -152,6 +159,53 @@ class TestDeltaRoundTrip:
             [a.snapshot() for a in auditors], labels=["s0", "s1"],
         )
         assert _dumps(folder.result_audit()) == _dumps(merged)
+
+    @pytest.mark.parametrize("per_barrier", [True, False],
+                             ids=["streamed", "final-only"])
+    def test_two_shard_fold_with_sections_matches_labelled_merge(
+        self, per_barrier,
+    ):
+        sims = [FakeSim(), FakeSim()]
+        auditors = [QoSAuditor(sim) for sim in sims]
+        registries = [
+            MetricsRegistry(clock=lambda sim=sim: sim.now) for sim in sims
+        ]
+        encoders = [
+            DeltaEncoder(auditor=a, registry=r)
+            for a, r in zip(auditors, registries)
+        ]
+        folder = DeltaFolder(2, labels=["s0", "s1"])
+        for shard, auditor in enumerate(auditors):
+            auditor.attach_section(
+                "controlplane", lambda k=shard: {"shard": k, "ok": True},
+            )
+            auditor.attach_section("extra", lambda k=shard: [k])
+            vc = f"s{shard}:v0"
+            auditor.register_connection(vc, CONTRACT)
+            auditor.record_period(vc, CONTRACT, _met(0.0, 0.5), [])
+            registries[shard].counter("osdus").inc(shard + 1)
+            sims[shard].now = 0.5
+            if per_barrier:
+                folder.fold(shard, encoders[shard].delta())
+            bad = _bad(0.5, 1.0)
+            auditor.record_period(
+                vc, CONTRACT, bad, CONTRACT.violations(bad),
+            )
+            sims[shard].now = 1.0
+        for shard, encoder in enumerate(encoders):
+            folder.fold(shard, encoder.delta(final=True))
+        merged = merge_snapshots(
+            [a.snapshot() for a in auditors], labels=["s0", "s1"],
+        )
+        assert merged["sections"] == {
+            "controlplane": [{"shard": 0, "ok": True},
+                             {"shard": 1, "ok": True}],
+            "extra": [[0], [1]],
+        }
+        assert _dumps(folder.result_audit()) == _dumps(merged)
+        assert _dumps(folder.result_metrics()) == _dumps(
+            merge_metrics([r.snapshot() for r in registries])
+        )
 
     def test_none_delta_between_barriers_and_final_never_none(self):
         sim = FakeSim()

@@ -33,6 +33,20 @@ class TestUsage:
         assert excinfo.value.code == 2
         assert capsys.readouterr().err
 
+    def test_unopenable_live_sink_exits_2_before_running(
+        self, tmp_path, monkeypatch, capsys,
+    ):
+        def no_run(*_args, **_kwargs):
+            raise AssertionError("cell ran despite bad input")
+
+        monkeypatch.setattr("repro.scenarios.__main__.run_cell", no_run)
+        sink = str(tmp_path / "missing" / "x.jsonl")
+        with pytest.raises(SystemExit) as excinfo:
+            scenarios_main(["--cell", "cbr/cells/calm@s0", "--live", sink])
+        assert excinfo.value.code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert f"--live {sink}" in last
+
     def test_list_prints_parseable_matrix_ids(self, capsys):
         assert scenarios_main(["--list"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

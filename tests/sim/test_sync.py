@@ -3,7 +3,7 @@
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.obs.registry import SpanAccumulator
 from repro.sim.scheduler import (
@@ -462,6 +462,31 @@ def test_one_event_grant_matches_two_event_reference(initial, processes, timed):
     ),
 )
 @settings(max_examples=300, deadline=None)
+# An interrupt queued while a resume was in flight, then overtaking the
+# wake-up of the acquire that resume parked on: a free unit ...
+@example(
+    initial=1,
+    processes=[("application", [(0, "acquire"), (0, "acquire")])],
+    timed=[(0, "release")],
+    interrupts=[(0, 0)],
+)
+# ... and a unit another process released into a blocked grant.
+@example(
+    initial=0,
+    processes=[
+        ("application", [(0, "acquire"), (0, "acquire")]),
+        ("protocol", [(0, "acquire"), (0, "release")]),
+    ],
+    timed=[(0, "release"), (0, "release")],
+    interrupts=[(0, 0)],
+)
+# ... and a second interrupt queued alongside the first.
+@example(
+    initial=2,
+    processes=[("application", [(0, "acquire"), (0, "acquire")])],
+    timed=[],
+    interrupts=[(0, 0), (0, 0)],
+)
 def test_interrupted_schedules_lose_no_unit(initial, processes, timed, interrupts):
     """With processes interrupted at arbitrary points (the case the old
     semaphore got wrong) every released unit is either still in the

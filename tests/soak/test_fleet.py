@@ -132,6 +132,30 @@ class TestSoakCLI:
         assert excinfo.value.code == 2
         assert capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,named", [
+        (["--live", "{tmp}/missing/x.jsonl"], "{tmp}/missing/x.jsonl"),
+        (["--live", "999"], "--live 999"),
+        (["--shards", "2", "--cells", "2", "--cross", "--window", "0"],
+         "--window"),
+        (["--shards", "2", "--cells", "2", "--cross", "--window", "-1"],
+         "--window"),
+        (["--timeline", "-3"], "--timeline"),
+    ], ids=["live-path", "live-fd", "window-0", "window-neg", "timeline-neg"])
+    def test_cli_bad_input_exits_2_before_running(
+        self, argv, named, tmp_path, monkeypatch, capsys,
+    ):
+        def no_run(*_args, **_kwargs):
+            raise AssertionError("fleet ran despite bad input")
+
+        monkeypatch.setattr("repro.soak.__main__.run_fleet", no_run)
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            soak_main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert named.format(tmp=tmp_path) in err.strip().splitlines()[-1]
+
     def test_cli_list_prints_presets(self, capsys):
         assert soak_main(["--list"]) == 0
         out = capsys.readouterr().out
