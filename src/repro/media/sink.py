@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.sim.scheduler import Process, Simulator, Timeout
+from repro.sim.scheduler import Process, Simulator, Timer
 from repro.transport.entity import VCEndpoint
 from repro.orchestration.primitives import (
     OrchReply,
@@ -109,6 +109,7 @@ class PlayoutSink:
 
     def _consume_loop(self):
         next_play_local: Optional[float] = None
+        pause = Timer(self.sim)
         while True:
             osdu = yield from self.endpoint.read()
             if self.mode == "paced":
@@ -121,12 +122,12 @@ class PlayoutSink:
                     )
                 remaining = next_play_local - self.clock.now()
                 if remaining > 0:
-                    yield Timeout(self.sim, self.clock.sim_duration(remaining))
+                    yield pause.after(self.clock.sim_duration(remaining))
                 elif remaining < -1e-12:
                     self.late_count += 1
                 next_play_local += 1.0 / self.osdu_rate
             if self.per_osdu_delay > 0:
-                yield Timeout(self.sim, self.per_osdu_delay)
+                yield pause.after(self.per_osdu_delay)
             media_time = (
                 osdu.media_time
                 if osdu.media_time is not None

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random as _random
 from typing import Dict, Optional
 
-from repro.sim.scheduler import Event, Process, Simulator, Timeout
+from repro.sim.scheduler import Event, Process, Simulator, Timer
 from repro.transport.entity import VCEndpoint
 from repro.transport.osdu import OPDU, OSDU
 from repro.media.encodings import Encoding
@@ -99,6 +99,7 @@ class StoredMediaSource:
         self._wake = Event(self.sim)
 
     def _writer_loop(self):
+        pause = Timer(self.sim)
         while True:
             if not self.generating or self.position >= self.total_osdus:
                 wake = self._wake
@@ -118,7 +119,7 @@ class StoredMediaSource:
             if self.per_osdu_jitter > 0:
                 delay += self.rng.uniform(0.0, self.per_osdu_jitter)
             if delay > 0:
-                yield Timeout(self.sim, delay)
+                yield pause.after(delay)
             yield from self.endpoint.write(osdu)
             if self.position == index:
                 # Only advance when no seek() landed while the write
@@ -195,10 +196,11 @@ class LiveSource:
     def _capture_loop(self):
         period_local = 1.0 / self.encoding.osdu_rate
         next_tick_local = self.clock.now()
+        tick = Timer(self.sim)
         while self.switched_on:
             remaining = next_tick_local - self.clock.now()
             if remaining > 0:
-                yield Timeout(self.sim, self.clock.sim_duration(remaining))
+                yield tick.after(self.clock.sim_duration(remaining))
             if not self.switched_on:
                 return
             size = self.encoding.osdu_size(self.index, self.rng)

@@ -51,6 +51,11 @@ reusable primitives instead:
 - :class:`PeriodicTimer` -- fires a callback every ``period`` seconds,
   re-arming one handle per tick.
 
+Waking a process allocates nothing either: a :class:`Process` parks
+itself on an :class:`Event` or :class:`Timer` and is woken by re-arming
+its own handle at the current instant, priority 0 -- the entry
+``call_soon`` would make, so the dispatch order is the same.
+
 Every scheduling call returns a :class:`TimerHandle` with O(1)
 ``cancel()`` and ``reschedule()``.  Cancelled or superseded entries are
 reclaimed lazily: they are skipped when they surface, and each region
@@ -584,6 +589,8 @@ class Simulator:
 class Waitable:
     """Base class for things a process generator may ``yield``."""
 
+    __slots__ = ()
+
     def _await(self, callback: Callable[[Any], None]) -> Callable[[], None]:
         """Arrange for ``callback(value)`` when this waitable fires.
 
@@ -687,16 +694,21 @@ class Timer(Waitable):
 
     def _fire(self) -> None:
         callback, self._callback = self._callback, None
-        if callback is not None:
+        if isinstance(callback, Process):
+            callback._resume(self.value)
+        elif callback is not None:
             callback(self.value)
 
     def _await(self, callback: Callable[[Any], None]) -> Callable[[], None]:
+        self._park(callback)
+        return self._detach
+
+    def _park(self, waiter: Any) -> None:
         if self._callback is not None:
             raise SimulationError("Timer already has a waiter")
-        if not self._handle.scheduled:
+        if not self._handle._live:
             raise SimulationError("Timer must be armed (after/at) before waiting")
-        self._callback = callback
-        return self._detach
+        self._callback = waiter
 
     def _detach(self) -> None:
         self._callback = None
@@ -781,14 +793,17 @@ class Event(Waitable):
     """A one-shot level-triggered event carrying a value.
 
     Once :meth:`set` is called the event stays set; late waiters resume
-    immediately with the same value.
+    with the same value, each by one zero-delay event: a waiting
+    :class:`Process` re-arms its own handle, a callback gets a closure.
     """
+
+    __slots__ = ("sim", "_value", "_is_set", "_callbacks")
 
     def __init__(self, sim: Simulator):
         self.sim = sim
         self._value: Any = None
         self._is_set = False
-        self._callbacks: list[Callable[[Any], None]] = []
+        self._callbacks: list[Any] = []
 
     @property
     def is_set(self) -> bool:
@@ -805,9 +820,15 @@ class Event(Waitable):
             raise SimulationError("event set twice")
         self._is_set = True
         self._value = value
-        callbacks, self._callbacks = self._callbacks, []
+        sim = self.sim
+        callbacks = self._callbacks  # waking runs no user code: stable
         for cb in callbacks:
-            self.sim.call_soon(lambda cb=cb: cb(value))
+            if isinstance(cb, Process):
+                cb._wake_value = value
+                sim._push(cb._wake, sim._now)
+            else:
+                sim.call_soon(lambda cb=cb: cb(value))
+        callbacks.clear()
 
     def _await(self, callback: Callable[[Any], None]) -> Callable[[], None]:
         if self._is_set:
@@ -904,6 +925,11 @@ class Process(Waitable):
 
     A process is itself a waitable: yielding a process waits for its
     completion and resumes with the generator's return value.
+
+    A wake-up re-arms the process's own handle ``_wake`` to send
+    ``_wake_value``.  ``_detach`` is the Event or Timer it is parked on,
+    or another waitable's detach function.  Resumption always goes
+    through :meth:`_resume` / :meth:`_throw`, looked up at call time.
     """
 
     def __init__(
@@ -913,19 +939,25 @@ class Process(Waitable):
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         self.finished = Event(sim)
-        self._detach: Optional[Callable[[], None]] = None
+        self._detach: Any = None
         self._alive = True
         self._advances = 0  # generator steps taken (see interrupt())
+        self._wake: Optional[TimerHandle] = TimerHandle(sim, self._wake_up)
+        self._wake_value: Any = None
         sim.process_count += 1
         if sim.trace.enabled:
             sim.trace.instant(
                 f"spawn:{self.name}", track="sim", cat="process"
             )
-        sim.call_soon(lambda: self._resume(None))
+        sim._push(self._wake, sim._now)
 
     @property
     def alive(self) -> bool:
         return self._alive
+
+    def _wake_up(self) -> None:
+        value, self._wake_value = self._wake_value, None
+        self._resume(value)
 
     def _resume(self, value: Any) -> None:
         if not self._alive:
@@ -955,14 +987,26 @@ class Process(Waitable):
         self._wait_on(waitable)
 
     def _wait_on(self, waitable: Any) -> None:
-        if not isinstance(waitable, Waitable):
+        if isinstance(waitable, Event):
+            if waitable._is_set:
+                self._wake_value = waitable._value
+                self.sim._push(self._wake, self.sim._now)
+            else:
+                waitable._callbacks.append(self)
+                self._detach = waitable
+        elif isinstance(waitable, Timer):
+            waitable._park(self)
+            self._detach = waitable
+        elif isinstance(waitable, Waitable):
+            self._detach = waitable._await(self._resume)
+        else:
             raise SimulationError(
                 f"process {self.name!r} yielded non-waitable {waitable!r}"
             )
-        self._detach = waitable._await(self._resume)
 
     def _finish(self, value: Any) -> None:
         self._alive = False
+        self._wake = None  # no cycle through the handle: refcounting frees it
         if self.sim.trace.enabled:
             self.sim.trace.instant(
                 f"finish:{self.name}", track="sim", cat="process"
@@ -973,9 +1017,13 @@ class Process(Waitable):
         """Throw :class:`Interrupt` into the process at its yield point."""
         if not self._alive:
             return
-        if self._detach is not None:
-            self._detach()
-            self._detach = None
+        detach, self._detach = self._detach, None
+        if isinstance(detach, Event):
+            detach._discard(self)
+        elif isinstance(detach, Timer):
+            detach._detach()
+        elif detach is not None:
+            detach()
         advances = self._advances
         # Resumed and parked again meanwhile: interrupt it there, behind any
         # wake-up it already queued (a semaphore unit, a queue item).

@@ -20,25 +20,26 @@ from repro.sim.scheduler import Event, SimulationError, Simulator, Waitable
 
 
 class _Grant(Event):
-    """The waitable of one blocked acquire, queued in its semaphore.
+    """The waitable of one blocked acquire, get or put, queued by its owner.
 
-    ``release()`` sets it, which resumes the acquirer through the
-    scheduler -- one event per wake-up.  When its last waiter detaches
-    while it is still queued (a process interrupt, a losing
-    :class:`~repro.sim.scheduler.AnyOf` branch) it withdraws from the
-    queue, so no later ``release()`` is spent on nobody.
+    The owner (a semaphore or a :class:`Queue`) sets it to resume the
+    waiter -- one scheduler event.  When its last waiter detaches while
+    still queued (an interrupt, a losing :class:`~repro.sim.scheduler.AnyOf`
+    branch) it withdraws, so no unit or item goes to nobody, no put lands.
     """
 
-    def __init__(self, sem: "Semaphore"):
-        super().__init__(sem.sim)
-        self._sem = sem
-        #: Open blocked-time span (:class:`TimedSemaphore` only).
-        self._token: Optional[int] = None
+    __slots__ = ("_owner", "_data")
+
+    def __init__(self, owner, data: Any = None):
+        super().__init__(owner.sim)
+        self._owner = owner
+        #: A TimedSemaphore's blocked-time span, or a blocked put's item.
+        self._data = data
 
     def _discard(self, callback) -> None:
         super()._discard(callback)
         if not self._is_set and not self._callbacks:
-            self._sem._withdraw(self)
+            self._owner._withdraw(self)
 
 
 class Semaphore:
@@ -123,22 +124,21 @@ class TimedSemaphore(Semaphore):
             self._value -= 1
             self._waits.instant(role)
             return self._granted
-        grant = _Grant(self)
-        grant._token = self._waits.begin(role)
+        grant = _Grant(self, self._waits.begin(role))
         self._waiters.append(grant)
         return grant
 
     def release(self) -> None:
         if self._waiters:
             grant = self._waiters.popleft()
-            self._waits.end(grant._token)
+            self._waits.end(grant._data)
             grant.set(None)
         else:
             self._value += 1
 
     def _withdraw(self, grant: _Grant) -> None:
         super()._withdraw(grant)
-        self._waits.end(grant._token)
+        self._waits.end(grant._data)
 
     def blocked_time(self, role: str) -> float:
         """Total virtual seconds ``role`` has spent blocked so far.
@@ -177,8 +177,8 @@ class Queue:
         self.sim = sim
         self.capacity = capacity
         self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
+        self._getters: Deque[_Grant] = deque()
+        self._putters: Deque[_Grant] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -189,12 +189,13 @@ class Queue:
 
     def put(self, item: Any) -> Waitable:
         """Waitable put; fires once the item is enqueued."""
-        ev = Event(self.sim)
-        if not self.full:
+        if self.full:
+            ev = _Grant(self, item)
+            self._putters.append(ev)
+        else:
+            ev = Event(self.sim)
             self._enqueue(item)
             ev.set(None)
-        else:
-            self._putters.append((ev, item))
         return ev
 
     def put_nowait(self, item: Any) -> None:
@@ -210,13 +211,14 @@ class Queue:
 
     def get(self) -> Waitable:
         """Waitable get; fires with the dequeued item."""
-        ev = Event(self.sim)
-        if self._items:
+        if not self._items:
+            ev = _Grant(self)
+            self._getters.append(ev)
+        else:
+            ev = Event(self.sim)
             item = self._items.popleft()
             self._admit_putter()
             ev.set(item)
-        else:
-            self._getters.append(ev)
         return ev
 
     def get_nowait(self) -> Any:
@@ -228,9 +230,15 @@ class Queue:
 
     def _admit_putter(self) -> None:
         if self._putters and not self.full:
-            ev, item = self._putters.popleft()
-            self._enqueue(item)
-            ev.set(None)
+            grant = self._putters.popleft()
+            self._enqueue(grant._data)
+            grant.set(None)
+
+    def _withdraw(self, grant: _Grant) -> None:
+        """Forget an abandoned get or put (see :class:`_Grant`)."""
+        for waiters in (self._getters, self._putters):
+            if grant in waiters:
+                waiters.remove(grant)
 
     def clear(self) -> int:
         """Discard all queued items; returns how many were dropped."""

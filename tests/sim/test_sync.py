@@ -513,6 +513,27 @@ def test_interrupted_schedules_lose_no_unit(initial, processes, timed, interrupt
     ]
 
 
+def abandon(sim, make_waitable, how):
+    """Park a process on ``make_waitable()``, then make it stop waiting:
+    by ``interrupt()`` or by losing an ``AnyOf`` to a ``Timeout``."""
+
+    def waiter():
+        if how == "anyof":
+            index, _value = yield AnyOf(sim, [make_waitable(), Timeout(sim, 0.5)])
+            return index
+        try:
+            yield make_waitable()
+        except Interrupt:
+            return "interrupted"
+
+    proc = sim.spawn(waiter())
+    sim.run()
+    if how == "interrupt":
+        proc.interrupt()
+        sim.run()
+    assert proc.finished.value == (1 if how == "anyof" else "interrupted")
+
+
 class TestQueue:
     def test_put_get_roundtrip(self, sim):
         q = Queue(sim)
@@ -585,6 +606,30 @@ class TestQueue:
         sim.run()
         assert got == ["x"]
         assert len(q) == 0
+
+    @pytest.mark.parametrize("how", ["interrupt", "anyof"])
+    def test_abandoned_get_does_not_swallow_the_next_item(self, sim, how):
+        q = Queue(sim)
+        abandon(sim, q.get, how)
+        q.put_nowait("A")
+        assert len(q) == 1
+
+        def getter():
+            return (yield q.get())
+
+        proc = sim.spawn(getter())
+        sim.run()
+        assert proc.finished.value == "A"
+
+    @pytest.mark.parametrize("how", ["interrupt", "anyof"])
+    def test_abandoned_put_does_not_land_its_item(self, sim, how):
+        q = Queue(sim, capacity=1)
+        q.put_nowait("first")
+        abandon(sim, lambda: q.put("second"), how)
+        assert q.get_nowait() == "first"
+        assert len(q) == 0
+        q.put_nowait("third")
+        assert q.get_nowait() == "third"
 
     def test_clear_drops_items_and_admits_putters(self, sim):
         q = Queue(sim, capacity=2)
