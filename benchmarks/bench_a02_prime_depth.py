@@ -23,7 +23,7 @@ from repro.media.source import StoredMediaSource
 from repro.metrics.table import Table
 from repro.orchestration.hlo_agent import HLOAgent, StreamSpec
 from repro.orchestration.policy import OrchestrationPolicy
-from repro.sim.scheduler import Timeout
+from repro.sim.scheduler import Timer
 from repro.transport.addresses import TransportAddress
 
 from benchmarks.common import emit, once
@@ -64,18 +64,18 @@ def run_case(depth: int):
         yield from agent.prime()
         out["prime_latency"] = bed.sim.now - start
         yield from agent.start()
-        yield Timeout(bed.sim, 5.0)
+        yield Timer(bed.sim).after(5.0)
         # Freeze the srv->ws link by zeroing its delivery for OUTAGE.
         link = bed.network.graph.edges["srv", "ws"]["link"]
         saved = link.on_deliver
         held = []
         link.on_deliver = held.append
-        yield Timeout(bed.sim, OUTAGE)
+        yield Timer(bed.sim).after(OUTAGE)
         link.on_deliver = saved
         for packet in held:
             saved(packet)
         out["outage_at"] = bed.sim.now - OUTAGE
-        yield Timeout(bed.sim, 3.0)
+        yield Timer(bed.sim).after(3.0)
 
     bed.spawn(driver())
     bed.run(30.0)

@@ -17,6 +17,7 @@ import pytest
 
 from repro.apps.testbed import Testbed
 from repro.metrics.table import Table
+from repro.sim.scheduler import Timer
 from repro.transport.addresses import TransportAddress
 from repro.transport.osdu import OSDU
 from repro.transport.primitives import (
@@ -68,8 +69,7 @@ def run_renegotiation():
 
         bed.spawn(producer())
         bed.spawn(consumer())
-        from repro.sim.scheduler import Timeout
-        yield Timeout(bed.sim, 3.0)
+        yield Timer(bed.sim).after(3.0)
         out["change_at"] = bed.sim.now
         bed.entities["src"].request(
             TRenegotiateRequest(
@@ -97,8 +97,6 @@ def run_teardown_reconnect():
     out = {}
 
     def driver():
-        from repro.sim.scheduler import Timeout
-
         endpoint = yield from service.connect(
             binding, TransportAddress("dst", 1), LOW
         )
@@ -114,7 +112,7 @@ def run_teardown_reconnect():
                     if wrote:
                         state["sent"] += 1
                     else:
-                        yield Timeout(bed.sim, 0.002)
+                        yield Timer(bed.sim).after(0.002)
                     if not ep.vc.open:
                         return
             return proc
@@ -128,12 +126,12 @@ def run_teardown_reconnect():
 
         bed.spawn(producer(endpoint)())
         bed.spawn(consumer(recv)())
-        yield Timeout(bed.sim, 3.0)
+        yield Timer(bed.sim).after(3.0)
         out["change_at"] = bed.sim.now
         # Naive application-level upgrade: disconnect, reconnect.
         service.disconnect(binding, endpoint.vc_id)
         state["endpoint"] = None
-        yield Timeout(bed.sim, 0.05)  # wait for teardown to settle
+        yield Timer(bed.sim).after(0.05)  # wait for teardown to settle
         endpoint2 = yield from service.connect(
             binding, TransportAddress("dst", 1), HIGH
         )

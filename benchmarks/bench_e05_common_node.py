@@ -27,7 +27,7 @@ from repro.orchestration.hlo import (
 )
 from repro.orchestration.hlo_agent import HLOAgent
 from repro.orchestration.policy import OrchestrationPolicy
-from repro.sim.scheduler import Timeout
+from repro.sim.scheduler import Timer
 
 from benchmarks.common import emit, once
 from benchmarks.scenarios import FilmScenario, film_testbed
@@ -108,7 +108,7 @@ def opdu_traffic(place_remote: bool, seconds: float = 10.0):
             yield from session.prime()
             yield from session.start()
         counted["at_start"] = counted["opdus"]
-        yield Timeout(bed.sim, seconds)
+        yield Timer(bed.sim).after(seconds)
         counted["at_end"] = counted["opdus"]
 
     bed.spawn(driver())

@@ -23,7 +23,7 @@ from repro.media.sink import PlayoutSink
 from repro.media.source import StoredMediaSource
 from repro.metrics.table import Table
 from repro.orchestration.policy import OrchestrationPolicy
-from repro.sim.scheduler import Timeout
+from repro.sim.scheduler import Timer
 from repro.transport.addresses import TransportAddress
 
 from benchmarks.common import emit, once
@@ -82,7 +82,7 @@ def start_skew(n: int, primed: bool) -> float:
             yield from session.prime()
             yield from session.start()
             marks["t0"] = bed.sim.now
-            yield Timeout(bed.sim, 5.0)
+            yield Timer(bed.sim).after(5.0)
     else:
         # Unprimed, unorchestrated baseline: the application starts
         # each track by its own control invocation, one after the
@@ -97,9 +97,9 @@ def start_skew(n: int, primed: bool) -> float:
                 rtt = 2 * bed.network.path_propagation_delay(
                     "ws", f"srv{i}"
                 )
-                yield Timeout(bed.sim, rtt)
+                yield Timer(bed.sim).after(rtt)
                 source.play()
-            yield Timeout(bed.sim, 5.0)
+            yield Timer(bed.sim).after(5.0)
 
     bed.spawn(driver())
     bed.run(40.0)
@@ -122,14 +122,14 @@ def stale_after_seek() -> int:
         )
         yield from session.prime()
         yield from session.start()
-        yield Timeout(bed.sim, 4.0)
+        yield Timer(bed.sim).after(4.0)
         yield from session.stop()
         for source in sources:
             source.seek(120.0)
         marks["resume"] = bed.sim.now
         yield from session.prime()
         yield from session.start()
-        yield Timeout(bed.sim, 3.0)
+        yield Timer(bed.sim).after(3.0)
 
     bed.spawn(driver())
     bed.run(30.0)

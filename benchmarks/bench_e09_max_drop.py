@@ -20,7 +20,7 @@ from repro.media.source import StoredMediaSource
 from repro.metrics.table import Table
 from repro.orchestration.hlo_agent import HLOAgent, StreamSpec
 from repro.orchestration.policy import OrchestrationPolicy
-from repro.sim.scheduler import Timeout
+from repro.sim.scheduler import Timer
 from repro.transport.addresses import TransportAddress
 
 from benchmarks.common import emit, once
@@ -60,7 +60,7 @@ def run_case(drop_budget: int):
         yield from agent.prime()
         yield from agent.start()
         marks["t0"] = bed.sim.now
-        yield Timeout(bed.sim, RUN_SECONDS)
+        yield Timer(bed.sim).after(RUN_SECONDS)
 
     bed.spawn(driver())
     bed.run(RUN_SECONDS + 15.0)

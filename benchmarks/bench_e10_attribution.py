@@ -20,7 +20,7 @@ from repro.media.source import StoredMediaSource
 from repro.metrics.table import Table
 from repro.orchestration.hlo_agent import HLOAgent, StreamSpec
 from repro.orchestration.policy import CompensationAction, OrchestrationPolicy
-from repro.sim.scheduler import Timeout
+from repro.sim.scheduler import Timer
 from repro.transport.addresses import TransportAddress
 
 from benchmarks.common import emit, once
@@ -70,7 +70,7 @@ def run_case(fault: str):
         yield from agent.prime()
         yield from agent.start()
         marks["t0"] = bed.sim.now
-        yield Timeout(bed.sim, 12.0)
+        yield Timer(bed.sim).after(12.0)
 
     bed.spawn(driver())
     bed.run(30.0)

@@ -26,7 +26,7 @@ from repro.ansa.stream import AudioQoS, MediaQoS, VideoQoS
 from repro.media.encodings import audio_pcm, video_cbr
 from repro.metrics.stats import interarrival_jitter, summarize
 from repro.metrics.table import Table
-from repro.sim.scheduler import Timeout
+from repro.sim.scheduler import Timer
 from repro.transport.addresses import TransportAddress
 from repro.transport.osdu import OSDU
 
@@ -98,7 +98,7 @@ def run_multiplexed():
             due = min(due_v, due_a)
             wait = start + due - bed.sim.now
             if wait > 0:
-                yield Timeout(bed.sim, wait)
+                yield Timer(bed.sim).after(wait)
             if due_v <= due_a:
                 yield from stream.send_endpoint.write(
                     OSDU(size_bytes=VIDEO.osdu_bytes, payload=("v", nv),
@@ -153,7 +153,7 @@ def run_separate():
             while bed.sim.now - start < RUN_SECONDS + 8.0:
                 wait = start + n / rate - bed.sim.now
                 if wait > 0:
-                    yield Timeout(bed.sim, wait)
+                    yield Timer(bed.sim).after(wait)
                 yield from stream.send_endpoint.write(
                     OSDU(size_bytes=size, payload=(kind, n),
                          media_time=n / rate)

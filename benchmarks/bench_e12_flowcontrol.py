@@ -24,7 +24,7 @@ from repro.apps.testbed import Testbed
 from repro.metrics.stats import interarrival_jitter, summarize
 from repro.metrics.table import Table
 from repro.netsim.link import BernoulliLoss
-from repro.sim.scheduler import Timeout
+from repro.sim.scheduler import Timer
 from repro.transport.addresses import TransportAddress
 from repro.transport.osdu import OSDU
 from repro.transport.profiles import ClassOfService, ProtocolProfile
@@ -73,7 +73,7 @@ def run_case(profile: ProtocolProfile, loss_p: float):
             while bed.sim.now - start < RUN_SECONDS + 5.0:
                 wait = start + n / FPS - bed.sim.now
                 if wait > 0:
-                    yield Timeout(bed.sim, wait)
+                    yield Timer(bed.sim).after(wait)
                 yield from endpoint.write(OSDU(size_bytes=FRAME, payload=n))
                 n += 1
 
@@ -84,7 +84,7 @@ def run_case(profile: ProtocolProfile, loss_p: float):
 
         bed.spawn(producer())
         bed.spawn(consumer())
-        yield Timeout(bed.sim, RUN_SECONDS)
+        yield Timer(bed.sim).after(RUN_SECONDS)
         # Stop-responsiveness: close the receive gate and watch the
         # sender quiesce (the Orch.Stop mechanism, section 6.2.3).
         recv_vc = bed.entities["dst"].recv_vcs[endpoint.vc_id]
@@ -94,7 +94,7 @@ def run_case(profile: ProtocolProfile, loss_p: float):
         last_count = send_vc.sent_count
         quiet_since = bed.sim.now
         while bed.sim.now - quiet_since < 1.0:
-            yield Timeout(bed.sim, 0.05)
+            yield Timer(bed.sim).after(0.05)
             if send_vc.sent_count != last_count:
                 last_count = send_vc.sent_count
                 quiet_since = bed.sim.now

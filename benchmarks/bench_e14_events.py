@@ -26,7 +26,7 @@ from repro.metrics.stats import summarize
 from repro.metrics.table import Table
 from repro.orchestration.hlo_agent import HLOAgent, StreamSpec
 from repro.orchestration.policy import OrchestrationPolicy
-from repro.sim.scheduler import Timeout
+from repro.sim.scheduler import Timer
 from repro.transport.addresses import TransportAddress
 
 from benchmarks.common import emit, once
@@ -89,7 +89,7 @@ def run_orch_event():
         )
         yield from agent.prime()
         yield from agent.start()
-        yield Timeout(bed.sim, RUN_SECONDS)
+        yield Timer(bed.sim).after(RUN_SECONDS)
 
     bed.spawn(driver())
     bed.run(RUN_SECONDS + 15.0)

@@ -23,7 +23,7 @@ from repro.core import Stack
 from repro.media.encodings import VBREncoding, video_cbr
 from repro.metrics.stats import interarrival_jitter, summarize
 from repro.metrics.table import Table
-from repro.sim.scheduler import Timeout
+from repro.sim.scheduler import Timer
 from repro.transport.addresses import TransportAddress
 from repro.transport.osdu import OSDU
 from repro.transport.qos import QoSSpec
@@ -62,7 +62,7 @@ def run_case(encoding, headroom: float):
         while sim.now - start < RUN_SECONDS + 5.0:
             wait = start + n / FPS - sim.now
             if wait > 0:
-                yield Timeout(sim, wait)
+                yield Timer(sim).after(wait)
             size = encoding.osdu_size(n, rng)
             yield from send.write(OSDU(size_bytes=size, payload=n))
             n += 1

@@ -8,8 +8,8 @@ Three workloads, each swept across a background heap of 10^4..10^6
 pending events so the numbers include realistic heap depth:
 
 - ``one-shot``: drain N independently scheduled ``call_after`` timers.
-- ``periodic/process``: the seed-kernel idiom -- a process allocating a
-  fresh ``Timeout`` (plus its closures) every tick.
+- ``periodic/process``: a process sleeping on a freshly allocated
+  ``Timer`` every tick.
 - ``periodic/timer``: the handle-based kernel's ``PeriodicTimer``,
   which re-arms one handle per tick with no per-tick allocation
   (skipped transparently on kernels that predate it).
@@ -39,7 +39,7 @@ import repro.sim.scheduler as sched
 from repro.metrics.table import Table
 from repro.netsim.link import Link
 from repro.netsim.packet import Packet
-from repro.sim.scheduler import Simulator, Timeout
+from repro.sim.scheduler import Simulator, Timer
 
 from benchmarks.common import emit, once
 
@@ -105,7 +105,7 @@ def periodic_process(ballast: int) -> float:
 
     def ticker(period: float):
         for _ in range(PERIODIC_TICKS):
-            yield Timeout(sim, period)
+            yield Timer(sim).after(period)
             fired[0] += 1
 
     for i in range(PERIODIC_TIMERS):

@@ -22,7 +22,7 @@ from repro.media.encodings import video_cbr, audio_pcm
 from repro.media.sink import PlayoutSink
 from repro.media.source import StoredMediaSource
 from repro.orchestration import OrchestrationPolicy
-from repro.sim import Timeout
+from repro.sim import Timer
 from repro.transport import TransportAddress
 
 ENCODING_CHANGE = 0x0E0C
@@ -84,7 +84,7 @@ def main() -> None:
               f"blocked by flow control)")
         yield from session.start()
         print(f"[{bed.sim.now:7.3f}] started -- playing monochrome")
-        yield Timeout(bed.sim, 8.0)
+        yield Timer(bed.sim).after(8.0)
 
         # -- pause / seek / resume ----------------------------------------
         yield from session.stop()
@@ -95,7 +95,7 @@ def main() -> None:
         yield from session.prime()
         yield from session.start()
         print(f"[{bed.sim.now:7.3f}] resumed from 60 s")
-        yield Timeout(bed.sim, 4.0)
+        yield Timer(bed.sim).after(4.0)
 
         # -- mid-film QoS upgrade ------------------------------------------
         colour = VideoQoS.of(fps=25.0, colour=True)
@@ -106,7 +106,7 @@ def main() -> None:
             f"{'accepted' if ok else 'refused'}, new contract "
             f"{contract.throughput_bps/1e6:.2f} Mbit/s"
         )
-        yield Timeout(bed.sim, 4.0)
+        yield Timer(bed.sim).after(4.0)
         yield from session.stop()
         print(
             f"[{bed.sim.now:7.3f}] stopped; presented "

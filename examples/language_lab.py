@@ -13,7 +13,7 @@ Run:  python examples/language_lab.py
 
 from repro.apps import LanguageLab, Testbed
 from repro.media.lipsync import interstream_skew_series, skew_summary
-from repro.sim import Timeout
+from repro.sim import Timer
 
 
 def main() -> None:
@@ -42,12 +42,12 @@ def main() -> None:
         print(f"[{bed.sim.now:7.3f}] lesson started "
               f"(all booths primed): {reply.accept}")
         marks["t0"] = bed.sim.now
-        yield Timeout(bed.sim, 12.0)
+        yield Timer(bed.sim).after(12.0)
         marks["t1"] = bed.sim.now
         print(f"[{bed.sim.now:7.3f}] teacher pauses and repeats from 5 s")
         reply = yield from lab.resume_from(5.0)
         marks["resume"] = bed.sim.now
-        yield Timeout(bed.sim, 8.0)
+        yield Timer(bed.sim).after(8.0)
         yield from lab.pause_lesson()
         marks["t2"] = bed.sim.now
 

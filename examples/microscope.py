@@ -11,7 +11,7 @@ Run:  python examples/microscope.py
 """
 
 from repro.apps import MicroscopeClient, MicroscopeServer, Testbed
-from repro.sim import Timeout
+from repro.sim import Timer
 
 
 def main() -> None:
@@ -41,7 +41,7 @@ def main() -> None:
               f"connect: {ok}")
         ok = yield from bob.attach_viewer(microscope)
         print(f"[{bed.sim.now:7.3f}] bob's viewer attached: {ok}")
-        yield Timeout(bed.sim, 6.0)
+        yield Timer(bed.sim).after(6.0)
         status = yield from bob.invoke("em-alpha", "status")
         print(f"[{bed.sim.now:7.3f}] microscope status: {status}")
         print(f"[{bed.sim.now:7.3f}] frames received -- alice: "

@@ -20,7 +20,6 @@ from dataclasses import replace
 
 from repro.apps import Testbed
 from repro.netsim import BernoulliLoss
-from repro.sim import Timeout
 from repro.transport import (
     OSDU,
     QoSSpec,

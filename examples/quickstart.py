@@ -16,7 +16,7 @@ from repro.media.lipsync import fraction_within, interstream_skew_series, skew_s
 from repro.media.sink import PlayoutSink
 from repro.media.source import StoredMediaSource
 from repro.orchestration import OrchestrationPolicy
-from repro.sim import Timeout
+from repro.sim import Timer
 from repro.transport import TransportAddress
 
 
@@ -67,7 +67,7 @@ def main() -> None:
         yield from session.prime()
         yield from session.start()
         state["t0"] = bed.sim.now
-        yield Timeout(bed.sim, 10.0)
+        yield Timer(bed.sim).after(10.0)
         state["t1"] = bed.sim.now
         yield from session.stop()
 

@@ -11,7 +11,7 @@ Run:  python examples/vdj_console.py
 """
 
 from repro.apps import Testbed, VideoDiscJockey
-from repro.sim import Timeout
+from repro.sim import Timer
 
 
 def main() -> None:
@@ -36,14 +36,14 @@ def main() -> None:
               f"{session.orchestrating_node!r}; deck0 cued")
         yield from vdj.go_live()
         print(f"[{bed.sim.now:7.3f}] ON AIR: audio bed + deck0")
-        yield Timeout(bed.sim, 6.0)
+        yield Timer(bed.sim).after(6.0)
         reply = yield from vdj.cut_to("deck1")
         print(f"[{bed.sim.now:7.3f}] CUT to deck1: {reply.accept} "
               f"(programme at {vdj.programme_position():.2f} s)")
-        yield Timeout(bed.sim, 6.0)
+        yield Timer(bed.sim).after(6.0)
         reply = yield from vdj.cut_to("deck0")
         print(f"[{bed.sim.now:7.3f}] CUT back to deck0: {reply.accept}")
-        yield Timeout(bed.sim, 4.0)
+        yield Timer(bed.sim).after(4.0)
         yield from session.stop()
         print(f"[{bed.sim.now:7.3f}] off air")
 

@@ -20,7 +20,7 @@ from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.netsim.packet import Packet, Priority
 from repro.netsim.topology import Network
-from repro.sim.scheduler import AnyOf, Event, Simulator, Timeout
+from repro.sim.scheduler import Event, Simulator
 from repro.ansa.interface import InterfaceRef
 from repro.ansa.trader import Trader
 
@@ -115,10 +115,8 @@ class RexRPC:
         if deadline is None:
             reply = yield done
         else:
-            index, value = yield AnyOf(
-                self.sim, [done, Timeout(self.sim, deadline)]
-            )
-            if index == 1:
+            fired, value = yield done.within(deadline)
+            if not fired:
                 self._pending.pop(call_id, None)
                 self.timeouts += 1
                 raise InvocationTimeout(

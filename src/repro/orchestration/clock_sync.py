@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 from repro.netsim.packet import Packet, Priority
 from repro.netsim.topology import Network
-from repro.sim.scheduler import Process, Simulator, Timeout
+from repro.sim.scheduler import Process, Simulator, Timer
 
 #: Wire size of one synchronisation probe/reply, bytes.
 SYNC_WIRE_BYTES = 48
@@ -107,6 +107,7 @@ class NTPLikeSynchronizer:
         self._proc = None
 
     def _probe_loop(self):
+        period = Timer(self.sim)
         while True:
             probe_id = next(self._probe_ids)
             t0 = self.slave_host.clock.now()
@@ -121,7 +122,7 @@ class NTPLikeSynchronizer:
                     priority=Priority.CONTROL,
                 )
             )
-            yield Timeout(self.sim, self.period)
+            yield period.after(self.period)
 
     def _on_master_packet(self, packet: Packet) -> None:
         probe = packet.payload

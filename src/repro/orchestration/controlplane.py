@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.sim.scheduler import Simulator, Timeout
+from repro.sim.scheduler import Simulator, Timer
 from repro.orchestration.events import (
     APPLIED,
     DesiredTable,
@@ -274,6 +274,7 @@ class ControlPlane:
 
     def _reconcile_loop(self, stream_id: str):
         state = self._streams[stream_id]
+        backoff = Timer(self.sim)
         try:
             while not self._converged(state):
                 desired = self.desired.desired(stream_id)
@@ -299,7 +300,7 @@ class ControlPlane:
                     delay = self.policy.backoff(state.failures)
                     if delay > 0:
                         self._count("reconcile.backoffs")
-                        yield Timeout(self.sim, delay)
+                        yield backoff.after(delay)
         finally:
             state.loop_running = False
         self._count("reconcile.converged")

@@ -30,7 +30,7 @@ from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from repro.netsim.packet import Packet, Priority
 from repro.netsim.topology import Network
-from repro.sim.scheduler import AllOf, AnyOf, Event, Simulator, Timeout, Timer
+from repro.sim.scheduler import Event, Simulator, Timer
 from repro.sim.sync import Queue
 from repro.transport.buffers import ROLE_APPLICATION, ROLE_PROTOCOL
 from repro.transport.entity import TransportEntity, VCEndpoint
@@ -96,6 +96,26 @@ class _PendingAggregate:
     done: Event
     ok: bool = True
     reason: str = ""
+
+
+class _Join:
+    """Concurrent legs joined by one Event: the last leg to finish sets
+    ``done`` to every leg's result, in leg order (with no legs, it is
+    set at once)."""
+
+    def __init__(self, sim: Simulator, legs: int):
+        self.results: list = [None] * legs
+        self.pending = legs
+        self.done = Event(sim)
+        if not legs:
+            self.done.set(self.results)
+
+    def leg(self, index: int, body: Generator):
+        """Coroutine: run ``body`` as leg ``index``."""
+        self.results[index] = yield from body
+        self.pending -= 1
+        if not self.pending:
+            self.done.set(self.results)
 
 
 class LLOError(Exception):
@@ -405,11 +425,9 @@ class LLOInstance:
             self._handle_delayed_cmd(opdu)
         else:
             self._send_opdu(node, opdu)
-        index, value = yield AnyOf(
-            self.sim, [done, Timeout(self.sim, self.app_reply_timeout)]
-        )
+        fired, value = yield done.within(self.app_reply_timeout)
         self._delayed_pending.pop(request_id, None)
-        if index == 1:
+        if not fired:
             return OrchReply(False, REASON_TIMEOUT)
         return value
 
@@ -449,12 +467,9 @@ class LLOInstance:
     def _await_aggregate(
         self, request_id: int, aggregate: _PendingAggregate
     ) -> Generator:
-        index, _value = yield AnyOf(
-            self.sim,
-            [aggregate.done, Timeout(self.sim, self.prime_fill_timeout)],
-        )
+        fired, _value = yield aggregate.done.within(self.prime_fill_timeout)
         self._pending.pop(request_id, None)
-        if index == 1:
+        if not fired:
             return OrchReply(False, REASON_TIMEOUT)
         return OrchReply(aggregate.ok, aggregate.reason)
 
@@ -592,15 +607,18 @@ class LLOInstance:
         # serialising legs would leave later VCs' gates open meanwhile,
         # breaking the atomic-start guarantee of section 6.2.
         legs = [
-            self.sim.spawn(
-                self._apply_cmd(opdu.kind, session, vc_id, role,
-                                metered=opdu.metered),
-                name=f"llo-{opdu.kind}-leg:{vc_id}/{role}",
-            )
+            (vc_id, role)
             for vc_id in opdu.vc_ids
             for role in sorted(self._local_roles(vc_id))
         ]
-        results = yield AllOf(self.sim, legs)
+        join = _Join(self.sim, len(legs))
+        for index, (vc_id, role) in enumerate(legs):
+            self.sim.spawn(
+                join.leg(index, self._apply_cmd(opdu.kind, session, vc_id,
+                                                role, metered=opdu.metered)),
+                name=f"llo-{opdu.kind}-leg:{vc_id}/{role}",
+            )
+        results = yield join.done
         ok = all(sub_ok for sub_ok, _reason in results)
         reason = next(
             (sub_reason for sub_ok, sub_reason in results if not sub_ok), ""
@@ -711,11 +729,10 @@ class LLOInstance:
                 return False, reply.reason or REASON_APP_DENY
             return True, ""
         recv_vc = self.entity.recv_vcs[vc_id]
-        index, _value = yield AnyOf(
-            self.sim,
-            [recv_vc.when_primed(), Timeout(self.sim, self.prime_fill_timeout)],
+        fired, _value = yield recv_vc.when_primed().within(
+            self.prime_fill_timeout
         )
-        if index == 1:
+        if not fired:
             return False, REASON_TIMEOUT
         return True, ""
 
@@ -729,10 +746,8 @@ class LLOInstance:
             return OrchReply(True)
         reply_event = Event(self.sim)
         endpoint.orch_queue.put_nowait((primitive, reply_event))
-        index, value = yield AnyOf(
-            self.sim, [reply_event, Timeout(self.sim, self.app_reply_timeout)]
-        )
-        if index == 1:
+        fired, value = yield reply_event.within(self.app_reply_timeout)
+        if not fired:
             return OrchReply(False, REASON_TIMEOUT)
         return value
 
@@ -799,7 +814,7 @@ class LLOInstance:
         # drift relative to the orchestrating node's master clock.
         interval_start_local = self.clock.now()
         # One reusable timer paces the whole interval: the per-OSDU loop
-        # re-arms it instead of allocating a Timeout + closures per tick.
+        # re-arms it instead of allocating a handle per tick.
         pace = Timer(self.sim)
         for k in range(1, n_due + 1):
             tick_local = interval_start_local + cmd.interval_length * k / n_due
@@ -924,11 +939,9 @@ class LLOInstance:
                 interval_id=interval_id,
             ),
         )
-        index, value = yield AnyOf(
-            self.sim, [done, Timeout(self.sim, self.app_reply_timeout)]
-        )
+        fired, value = yield done.within(self.app_reply_timeout)
         self._stats_pending.pop(request_id, None)
-        if index == 1:
+        if not fired:
             return 0.0, 0.0, 0
         return value
 

@@ -29,7 +29,7 @@ from repro.media.sink import PlayoutSink
 from repro.media.source import StoredMediaSource
 from repro.orchestration.policy import OrchestrationPolicy
 from repro.sim.clock import NodeClock
-from repro.sim.scheduler import Timeout
+from repro.sim.scheduler import Timer
 from repro.transport.addresses import TransportAddress
 
 
@@ -149,14 +149,14 @@ class FilmScenario:
                 yield from session.prime()
                 yield from session.start()
                 marks["t0"] = self.bed.sim.now
-                yield Timeout(self.bed.sim, seconds)
+                yield Timer(self.bed.sim).after(seconds)
                 marks["t1"] = self.bed.sim.now
         else:
             def driver():
                 self.sources["video"].play()
                 self.sources["audio"].play()
                 marks["t0"] = self.bed.sim.now
-                yield Timeout(self.bed.sim, seconds)
+                yield Timer(self.bed.sim).after(seconds)
                 marks["t1"] = self.bed.sim.now
 
         self.bed.spawn(driver())

@@ -11,8 +11,10 @@ Public surface:
 
 - :class:`Simulator` -- the event loop and virtual clock.
 - :class:`Process` -- generator-based cooperative processes.
-- Waitables yielded from process generators: :class:`Timeout`,
-  :class:`Event`, :class:`AnyOf`, :class:`AllOf`.
+- Waitables yielded from process generators: :class:`Event` (and its
+  deadline wait, ``fired, value = yield event.within(seconds)``),
+  :class:`Timer` (``yield Timer(sim).after(delay)`` sleeps) and
+  :class:`Process` (a join).
 - :class:`Semaphore`, :class:`TimedSemaphore`, :class:`Queue` -- process
   synchronisation; the timed variants record blocking time, which the
   orchestration service uses for fault attribution (paper section 3.7).
@@ -25,22 +27,18 @@ Public surface:
 """
 
 from repro.sim.scheduler import (
-    AllOf,
-    AnyOf,
     Event,
     Interrupt,
     Process,
     SimulationError,
     Simulator,
-    Timeout,
+    Timer,
 )
 from repro.sim.sync import Queue, QueueFull, Semaphore, TimedSemaphore
 from repro.sim.clock import NodeClock
 from repro.sim.random import RandomStreams
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Event",
     "Interrupt",
     "NodeClock",
@@ -52,5 +50,5 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "TimedSemaphore",
-    "Timeout",
+    "Timer",
 ]

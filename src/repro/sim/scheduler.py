@@ -37,13 +37,14 @@ A :class:`Process` wraps a generator.  The generator ``yield``\\ s
 waitable's value as the result of the ``yield`` expression::
 
     def sender(sim):
-        yield Timeout(sim, 0.02)          # sleep 20 ms of virtual time
-        value = yield some_event          # wait for an Event
-        done = yield AnyOf(sim, [a, b])   # first of several
+        pace = Timer(sim)
+        yield pace.after(0.02)                   # sleep 20 ms of virtual time
+        value = yield some_event                 # wait for an Event
+        fired, value = yield reply.within(0.5)   # ... for at most 0.5 s
+        result = yield child                     # join another Process
 
-Hot paths (per-OSDU pacing, NACK deadlines, sample periods) should not
-allocate a fresh :class:`Timeout` per event.  The kernel provides two
-reusable primitives instead:
+The kernel's timers are reusable, so hot paths (per-OSDU pacing, NACK
+deadlines, sample periods) allocate nothing per event:
 
 - :class:`Timer` -- a re-armable one-shot waitable.  A protocol loop
   owns one and yields ``timer.after(delay)`` each iteration; the single
@@ -54,7 +55,10 @@ reusable primitives instead:
 Waking a process allocates nothing either: a :class:`Process` parks
 itself on an :class:`Event` or :class:`Timer` and is woken by re-arming
 its own handle at the current instant, priority 0 -- the entry
-``call_soon`` would make, so the dispatch order is the same.
+``call_soon`` would make, so the dispatch order is the same.  A
+deadline wait (:meth:`Event.within`) parks the same way and arms a
+second handle the process owns at the deadline; whichever fires first
+cancels the other.
 
 Every scheduling call returns a :class:`TimerHandle` with O(1)
 ``cancel()`` and ``reschedule()``.  Cancelled or superseded entries are
@@ -82,7 +86,7 @@ import heapq
 import itertools
 from bisect import insort as _insort
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
@@ -176,11 +180,6 @@ class TimerHandle:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         return self.reschedule(self.sim._now + delay)
-
-
-#: Backwards-compatible name: the pre-handle kernel called these
-#: ScheduledCall; the API (cancel/cancelled) is a subset of TimerHandle.
-ScheduledCall = TimerHandle
 
 
 class Simulator:
@@ -340,10 +339,6 @@ class Simulator:
             self._heap_dead += 1
             if self._heap_dead * 2 > len(self._heap) >= _COMPACT_MIN_HEAP:
                 self._compact()
-
-    def _maybe_compact(self) -> None:
-        if self._heap_dead * 2 > len(self._heap) >= _COMPACT_MIN_HEAP:
-            self._compact()
 
     def _compact(self) -> None:
         """Sweep the overflow heap's dead entries in one O(n) pass.
@@ -591,64 +586,6 @@ class Waitable:
 
     __slots__ = ()
 
-    def _await(self, callback: Callable[[Any], None]) -> Callable[[], None]:
-        """Arrange for ``callback(value)`` when this waitable fires.
-
-        Returns a detach function used to cancel interest (needed by
-        :class:`AnyOf` and process interruption).
-        """
-        raise NotImplementedError
-
-
-def _noop_detach() -> None:
-    return None
-
-
-class Timeout(Waitable):
-    """Fires once, ``delay`` seconds after creation.
-
-    The underlying :class:`TimerHandle` is retained: when the last
-    waiter detaches before the deadline (an :class:`AnyOf` losing
-    branch, a process interrupt) the heap entry is reclaimed instead of
-    lingering until it fires into the void.
-    """
-
-    def __init__(self, sim: Simulator, delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout {delay}")
-        self.sim = sim
-        self.delay = delay
-        self.value = value
-        self._fired = False
-        self._callbacks: list[Callable[[Any], None]] = []
-        self._when = sim.now + delay
-        self._handle = sim.call_at(self._when, self._fire)
-
-    def _fire(self) -> None:
-        self._fired = True
-        callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
-            cb(self.value)
-
-    def _await(self, callback: Callable[[Any], None]) -> Callable[[], None]:
-        if self._fired:
-            self.sim.call_soon(lambda: callback(self.value))
-            return _noop_detach
-        if not self._handle.scheduled:
-            # All previous waiters detached and the timer was reclaimed;
-            # a new waiter re-arms it at the original deadline.
-            self._handle.reschedule(max(self._when, self.sim.now))
-        self._callbacks.append(callback)
-        return lambda: self._discard(callback)
-
-    def _discard(self, callback) -> None:
-        try:
-            self._callbacks.remove(callback)
-        except ValueError:
-            return
-        if not self._callbacks and not self._fired:
-            self._handle.cancel()
-
 
 class Timer(Waitable):
     """A reusable one-shot timer waitable for hot loops.
@@ -659,18 +596,17 @@ class Timer(Waitable):
         while True:
             yield pace.after(slot_delay)      # no allocation per slot
 
-    At most one waiter may be attached at a time (re-yielding from the
-    same process, or membership in one :class:`AnyOf`, both satisfy
-    this).  Detaching -- an AnyOf loss, a process interrupt -- cancels
-    the underlying handle, so no orphaned firing stays on the heap.
+    At most one process may wait on it at a time.  An interrupt
+    detaches the waiter and cancels the underlying handle, so no
+    orphaned firing stays on the heap.
     """
 
-    __slots__ = ("sim", "value", "_handle", "_callback")
+    __slots__ = ("sim", "value", "_handle", "_waiter")
 
     def __init__(self, sim: Simulator, priority: int = 0):
         self.sim = sim
         self.value: Any = None
-        self._callback: Optional[Callable[[Any], None]] = None
+        self._waiter: Optional[Process] = None
         self._handle = TimerHandle(sim, self._fire, priority)
 
     @property
@@ -693,25 +629,19 @@ class Timer(Waitable):
         self._handle.cancel()
 
     def _fire(self) -> None:
-        callback, self._callback = self._callback, None
-        if isinstance(callback, Process):
-            callback._resume(self.value)
-        elif callback is not None:
-            callback(self.value)
+        waiter, self._waiter = self._waiter, None
+        if waiter is not None:
+            waiter._resume(self.value)
 
-    def _await(self, callback: Callable[[Any], None]) -> Callable[[], None]:
-        self._park(callback)
-        return self._detach
-
-    def _park(self, waiter: Any) -> None:
-        if self._callback is not None:
+    def _park(self, process: "Process") -> None:
+        if self._waiter is not None:
             raise SimulationError("Timer already has a waiter")
         if not self._handle._live:
             raise SimulationError("Timer must be armed (after/at) before waiting")
-        self._callback = waiter
+        self._waiter = process
 
-    def _detach(self) -> None:
-        self._callback = None
+    def _discard(self, process: "Process") -> None:
+        self._waiter = None
         self._handle.cancel()
 
 
@@ -719,8 +649,8 @@ class PeriodicTimer:
     """Calls ``fn`` every ``period`` seconds without per-tick allocation.
 
     The workhorse for rate pacing, QoS sample periods and regulation
-    intervals: one :class:`TimerHandle` is re-armed per tick, replacing
-    the Timeout-plus-closures-per-event idiom.  Tick times accumulate
+    intervals: one :class:`TimerHandle` is re-armed per tick, so a tick
+    allocates nothing.  Tick times accumulate
     exactly (``start + k * period``), so boundaries do not drift.
 
     ``fn`` runs after the next tick is armed and may call :meth:`stop`
@@ -793,8 +723,8 @@ class Event(Waitable):
     """A one-shot level-triggered event carrying a value.
 
     Once :meth:`set` is called the event stays set; late waiters resume
-    with the same value, each by one zero-delay event: a waiting
-    :class:`Process` re-arms its own handle, a callback gets a closure.
+    with the same value.  Every waiter is a :class:`Process`, woken by
+    one zero-delay event: re-arming its own handle.
     """
 
     __slots__ = ("sim", "_value", "_is_set", "_callbacks")
@@ -803,7 +733,7 @@ class Event(Waitable):
         self.sim = sim
         self._value: Any = None
         self._is_set = False
-        self._callbacks: list[Any] = []
+        self._callbacks: list[Process] = []
 
     @property
     def is_set(self) -> bool:
@@ -822,114 +752,54 @@ class Event(Waitable):
         self._value = value
         sim = self.sim
         callbacks = self._callbacks  # waking runs no user code: stable
-        for cb in callbacks:
-            if isinstance(cb, Process):
-                cb._wake_value = value
-                sim._push(cb._wake, sim._now)
-            else:
-                sim.call_soon(lambda cb=cb: cb(value))
+        for process in callbacks:
+            process._wake_value = value
+            sim._push(process._wake, sim._now)
         callbacks.clear()
 
-    def _await(self, callback: Callable[[Any], None]) -> Callable[[], None]:
-        if self._is_set:
-            self.sim.call_soon(lambda: callback(self._value))
-            return _noop_detach
-        self._callbacks.append(callback)
-        return lambda: self._discard(callback)
+    def within(self, seconds: float) -> "_Within":
+        """Wait for this event for at most ``seconds`` of virtual time.
 
-    def _discard(self, callback) -> None:
+        ``fired, value = yield event.within(seconds)`` gives ``(True,
+        value)`` if the event is set first and ``(False, None)`` if the
+        deadline, armed when the process parks, fires first.  A waiter
+        that times out or is interrupted leaves the event, so a blocked
+        acquire, get or put withdraws (see :class:`repro.sim.sync._Grant`).
+        """
+        if seconds < 0:
+            raise SimulationError(f"negative deadline {seconds}")
+        return _Within(self, seconds)
+
+    def _discard(self, process: "Process") -> None:
         try:
-            self._callbacks.remove(callback)
+            self._callbacks.remove(process)
         except ValueError:
             pass
 
 
-class AnyOf(Waitable):
-    """Fires when the *first* of several waitables fires.
+class _Within(Waitable):
+    """What :meth:`Event.within` returns: an event and a deadline."""
 
-    The resume value is ``(index, value)`` of the winner.  Losing
-    branches are detached, which reclaims their timers (see
-    :class:`Timeout` and :class:`Timer`).
-    """
+    __slots__ = ("event", "seconds")
 
-    def __init__(self, sim: Simulator, waitables: Iterable[Waitable]):
-        self.sim = sim
-        self.waitables = list(waitables)
-        if not self.waitables:
-            raise SimulationError("AnyOf of no waitables")
-
-    def _await(self, callback: Callable[[Any], None]) -> Callable[[], None]:
-        detachers: list[Callable[[], None]] = []
-        done = [False]
-
-        def detach_all() -> None:
-            for detach in detachers:
-                detach()
-
-        def make_cb(index: int):
-            def on_fire(value: Any) -> None:
-                if done[0]:
-                    return
-                done[0] = True
-                detach_all()
-                callback((index, value))
-
-            return on_fire
-
-        for i, w in enumerate(self.waitables):
-            detachers.append(w._await(make_cb(i)))
-        return detach_all
-
-
-class AllOf(Waitable):
-    """Fires when *all* waitables have fired; value is the list of values."""
-
-    def __init__(self, sim: Simulator, waitables: Iterable[Waitable]):
-        self.sim = sim
-        self.waitables = list(waitables)
-
-    def _await(self, callback: Callable[[Any], None]) -> Callable[[], None]:
-        total = len(self.waitables)
-        if total == 0:
-            self.sim.call_soon(lambda: callback([]))
-            return _noop_detach
-        values: list[Any] = [None] * total
-        remaining = [total]
-        detachers: list[Callable[[], None]] = []
-        cancelled = [False]
-
-        def make_cb(index: int):
-            def on_fire(value: Any) -> None:
-                if cancelled[0]:
-                    return
-                values[index] = value
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    callback(list(values))
-
-            return on_fire
-
-        for i, w in enumerate(self.waitables):
-            detachers.append(w._await(make_cb(i)))
-
-        def detach_all() -> None:
-            cancelled[0] = True
-            for detach in detachers:
-                detach()
-
-        return detach_all
+    def __init__(self, event: Event, seconds: float):
+        self.event = event
+        self.seconds = seconds
 
 
 class Process(Waitable):
     """A cooperative process driving a generator of waitables.
 
     A process is itself a waitable: yielding a process waits for its
-    completion and resumes with the generator's return value.
+    completion (its ``finished`` :class:`Event`) and resumes with the
+    generator's return value.
 
     A wake-up re-arms the process's own handle ``_wake`` to send
-    ``_wake_value``.  ``_detach`` is the Event or Timer it is parked on,
-    or another waitable's detach function.  Resumption always goes
-    through :meth:`_resume` / :meth:`_throw`, looked up at call time.
+    ``_wake_value``.  ``_detach`` is the Event or Timer it is parked
+    on.  While a :meth:`Event.within` wait is pending (``_racing``) its
+    deadline is armed on a second handle, ``_deadline``, made on the
+    process's first deadline wait.  Resumption always goes through
+    :meth:`_resume` / :meth:`_throw`, looked up at call time.
     """
 
     def __init__(
@@ -944,6 +814,8 @@ class Process(Waitable):
         self._advances = 0  # generator steps taken (see interrupt())
         self._wake: Optional[TimerHandle] = TimerHandle(sim, self._wake_up)
         self._wake_value: Any = None
+        self._deadline: Optional[TimerHandle] = None
+        self._racing = False
         sim.process_count += 1
         if sim.trace.enabled:
             sim.trace.instant(
@@ -957,7 +829,21 @@ class Process(Waitable):
 
     def _wake_up(self) -> None:
         value, self._wake_value = self._wake_value, None
+        if self._racing:  # the event beat its deadline
+            self._racing = False
+            self._deadline.cancel()
+            value = (True, value)
         self._resume(value)
+
+    def _time_out(self) -> None:
+        # The deadline beat the event.  A set() in this same instant
+        # queued its wake-up behind the deadline: that wake-up loses.
+        self._racing = False
+        self._wake.cancel()
+        self._wake_value = None
+        if self._detach is not None:
+            self._detach._discard(self)
+        self._resume((False, None))
 
     def _resume(self, value: Any) -> None:
         if not self._alive:
@@ -974,6 +860,7 @@ class Process(Waitable):
     def _throw(self, exc: BaseException) -> None:
         if not self._alive:
             return
+        self._racing = False  # interrupt() cancelled the deadline
         self._advances += 1
         try:
             waitable = self.gen.throw(exc)
@@ -997,8 +884,15 @@ class Process(Waitable):
         elif isinstance(waitable, Timer):
             waitable._park(self)
             self._detach = waitable
-        elif isinstance(waitable, Waitable):
-            self._detach = waitable._await(self._resume)
+        elif isinstance(waitable, _Within):
+            sim = self.sim
+            if self._deadline is None:
+                self._deadline = TimerHandle(sim, self._time_out)
+            sim._push(self._deadline, sim._now + waitable.seconds)
+            self._racing = True
+            self._wait_on(waitable.event)
+        elif isinstance(waitable, Process):
+            self._wait_on(waitable.finished)
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded non-waitable {waitable!r}"
@@ -1006,7 +900,8 @@ class Process(Waitable):
 
     def _finish(self, value: Any) -> None:
         self._alive = False
-        self._wake = None  # no cycle through the handle: refcounting frees it
+        # No cycle through the handles: refcounting frees the process.
+        self._wake = self._deadline = None
         if self.sim.trace.enabled:
             self.sim.trace.instant(
                 f"finish:{self.name}", track="sim", cat="process"
@@ -1018,12 +913,10 @@ class Process(Waitable):
         if not self._alive:
             return
         detach, self._detach = self._detach, None
-        if isinstance(detach, Event):
+        if detach is not None:
             detach._discard(self)
-        elif isinstance(detach, Timer):
-            detach._detach()
-        elif detach is not None:
-            detach()
+        if self._racing:
+            self._deadline.cancel()
         advances = self._advances
         # Resumed and parked again meanwhile: interrupt it there, behind any
         # wake-up it already queued (a semaphore unit, a queue item).
@@ -1031,6 +924,3 @@ class Process(Waitable):
             lambda: self._throw(Interrupt(cause))
             if self._advances == advances else self.interrupt(cause)
         )
-
-    def _await(self, callback: Callable[[Any], None]) -> Callable[[], None]:
-        return self.finished._await(callback)

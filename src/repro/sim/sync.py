@@ -23,9 +23,10 @@ class _Grant(Event):
     """The waitable of one blocked acquire, get or put, queued by its owner.
 
     The owner (a semaphore or a :class:`Queue`) sets it to resume the
-    waiter -- one scheduler event.  When its last waiter detaches while
-    still queued (an interrupt, a losing :class:`~repro.sim.scheduler.AnyOf`
-    branch) it withdraws, so no unit or item goes to nobody, no put lands.
+    waiter -- one scheduler event.  When its last waiter leaves while it
+    is still queued (an interrupt, or a deadline that beat it in a
+    :meth:`~repro.sim.scheduler.Event.within` wait) it withdraws, so no
+    unit or item goes to nobody and no put lands.
     """
 
     __slots__ = ("_owner", "_data")
@@ -36,8 +37,8 @@ class _Grant(Event):
         #: A TimedSemaphore's blocked-time span, or a blocked put's item.
         self._data = data
 
-    def _discard(self, callback) -> None:
-        super()._discard(callback)
+    def _discard(self, process) -> None:
+        super()._discard(process)
         if not self._is_set and not self._callbacks:
             self._owner._withdraw(self)
 

@@ -32,7 +32,7 @@ from typing import Dict, Generator, Optional, Tuple
 from repro.netsim.packet import Packet, Priority
 from repro.netsim.reservation import AdmissionError, Reservation, ReservationManager
 from repro.netsim.topology import Network
-from repro.sim.scheduler import Simulator
+from repro.sim.scheduler import Simulator, Timer
 from repro.sim.sync import Queue
 from repro.transport.addresses import TransportAddress
 from repro.transport.degradation import DegradationConfig, OutageState
@@ -432,10 +432,9 @@ class TransportEntity:
     CR_RETRY_LIMIT = 5
 
     def _cr_retry_loop(self, vc_id: str):
-        from repro.sim.scheduler import Timeout
-
+        retry = Timer(self.sim)
         for _attempt in range(self.CR_RETRY_LIMIT):
-            yield Timeout(self.sim, self.CR_RETRY_INTERVAL)
+            yield retry.after(self.CR_RETRY_INTERVAL)
             pending = self._src_pending.get(vc_id)
             if pending is None:
                 return  # concluded (confirm or reject arrived)
@@ -1305,8 +1304,7 @@ class TransportEntity:
 
     def _outage_probe_loop(self, vc_id: str):
         """Release one probe credit per interval until credits flow again."""
-        from repro.sim.scheduler import Timeout
-
+        probe = Timer(self.sim)
         try:
             for _attempt in range(self.OUTAGE_PROBE_LIMIT):
                 send_vc = self.send_vcs.get(vc_id)
@@ -1319,7 +1317,7 @@ class TransportEntity:
                     trace.instant(
                         "outage.probe", track=f"vc:{vc_id}", cat="fault",
                     )
-                yield Timeout(self.sim, self.OUTAGE_PROBE_INTERVAL)
+                yield probe.after(self.OUTAGE_PROBE_INTERVAL)
                 send_vc = self.send_vcs.get(vc_id)
                 if send_vc is None or send_vc.credits_seen > seen:
                     return  # credit grants resumed: the path recovered
@@ -1332,10 +1330,9 @@ class TransportEntity:
 
     def _reneg_retry_loop(self, vc_id: str):
         """Retransmit a pending RR until confirmed, rejected or exhausted."""
-        from repro.sim.scheduler import Timeout
-
+        retry = Timer(self.sim)
         for _attempt in range(self.RENEG_RETRY_LIMIT):
-            yield Timeout(self.sim, self.RENEG_RETRY_INTERVAL)
+            yield retry.after(self.RENEG_RETRY_INTERVAL)
             request = self._reneg_src_pending.get(vc_id)
             offer = self._reneg_offers.get(vc_id)
             if request is None or offer is None:

@@ -7,7 +7,7 @@ from repro.ansa.rex import InvocationError, InvocationTimeout, RexRPC
 from repro.ansa.trader import Trader
 from repro.netsim.topology import Network
 from repro.sim.random import RandomStreams
-from repro.sim.scheduler import Timeout
+from repro.sim.scheduler import Timer
 
 from tests.conftest import run_coro
 
@@ -65,7 +65,7 @@ class TestInvocation:
         interface.export("fail", self._failing)
 
         def slow(x):
-            yield Timeout(sim, 0.5)
+            yield Timer(sim).after(0.5)
             return x * 2
 
         interface.export("slow_double", slow, is_coroutine=True)

@@ -11,7 +11,7 @@ from repro.apps import (
     Testbed,
 )
 from repro.media.lipsync import interstream_skew_series, skew_summary
-from repro.sim.scheduler import Timeout
+from repro.sim.scheduler import Timer
 
 
 def star_bed(leaves=4, seed=2):
@@ -54,7 +54,7 @@ class TestMicroscope:
                 "em-1", "select_specimen", "diatom"
             )
             out["attached"] = yield from client.attach_viewer(server)
-            yield Timeout(bed.sim, 4.0)
+            yield Timer(bed.sim).after(4.0)
             out["status"] = yield from client.invoke("em-1", "status")
             out["frames"] = client.frames_received()
 
@@ -94,7 +94,7 @@ class TestMicroscope:
         def driver():
             for i, client in enumerate(clients):
                 out[i] = yield from client.attach_viewer(server)
-            yield Timeout(bed.sim, 3.0)
+            yield Timer(bed.sim).after(3.0)
 
         bed.spawn(driver())
         bed.run(20.0)
@@ -193,10 +193,10 @@ class TestLanguageLab:
         def driver():
             yield from lab.setup()
             yield from lab.begin_lesson()
-            yield Timeout(bed.sim, 5.0)
+            yield Timer(bed.sim).after(5.0)
             out["resume_reply"] = yield from lab.resume_from(60.0)
             out["resume_t"] = bed.sim.now
-            yield Timeout(bed.sim, 3.0)
+            yield Timer(bed.sim).after(3.0)
 
         bed.spawn(driver())
         bed.run(40.0)
@@ -218,7 +218,7 @@ class TestLanguageLab:
             yield from lab.setup()
             yield from lab.begin_lesson()
             out["t0"] = bed.sim.now
-            yield Timeout(bed.sim, 15.0)
+            yield Timer(bed.sim).after(15.0)
             out["t1"] = bed.sim.now
 
         bed.spawn(driver())
@@ -245,7 +245,7 @@ class TestCaptions:
         def driver():
             yield from playout.setup()
             out["play"] = yield from playout.play()
-            yield Timeout(bed.sim, 10.0)
+            yield Timer(bed.sim).after(10.0)
             out["err"] = playout.caption_alignment_error()
 
         bed.spawn(driver())
@@ -260,7 +260,7 @@ class TestCaptions:
         def driver():
             yield from playout.setup()
             yield from playout.play()
-            yield Timeout(bed.sim, 12.0)
+            yield Timer(bed.sim).after(12.0)
 
         bed.spawn(driver())
         bed.run(30.0)
@@ -286,7 +286,7 @@ class TestVideoDiscJockey:
             session = yield from vdj.setup()
             out["node"] = session.orchestrating_node
             out["live"] = yield from vdj.go_live()
-            yield Timeout(bed.sim, 5.0)
+            yield Timer(bed.sim).after(5.0)
 
         bed.spawn(driver())
         bed.run(30.0)
@@ -303,10 +303,10 @@ class TestVideoDiscJockey:
         def driver():
             yield from vdj.setup()
             yield from vdj.go_live()
-            yield Timeout(bed.sim, 4.0)
+            yield Timer(bed.sim).after(4.0)
             out["cut"] = yield from vdj.cut_to("deck1")
             out["cut_at"] = bed.sim.now
-            yield Timeout(bed.sim, 4.0)
+            yield Timer(bed.sim).after(4.0)
 
         bed.spawn(driver())
         bed.run(30.0)
@@ -333,11 +333,11 @@ class TestVideoDiscJockey:
         def driver():
             yield from vdj.setup()
             yield from vdj.go_live()
-            yield Timeout(bed.sim, 4.0)
+            yield Timer(bed.sim).after(4.0)
             out["before"] = vdj.audio_sink.presented
             out["t0"] = bed.sim.now
             yield from vdj.cut_to("deck1")
-            yield Timeout(bed.sim, 4.0)
+            yield Timer(bed.sim).after(4.0)
             out["after"] = vdj.audio_sink.presented
             out["t1"] = bed.sim.now
 

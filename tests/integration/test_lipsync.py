@@ -19,7 +19,7 @@ from repro.media.lipsync import (
 from repro.media.sink import PlayoutSink
 from repro.media.source import StoredMediaSource
 from repro.orchestration.policy import OrchestrationPolicy
-from repro.sim.scheduler import Timeout
+from repro.sim.scheduler import Timer
 from repro.transport.addresses import TransportAddress
 
 
@@ -106,14 +106,14 @@ def run_scenario(orchestrated: bool, drift_ppm: float = 300.0,
             yield from session.prime()
             yield from session.start()
             marks["t0"] = bed.sim.now
-            yield Timeout(bed.sim, play_seconds)
+            yield Timer(bed.sim).after(play_seconds)
             marks["t1"] = bed.sim.now
     else:
         def driver():
             sources["video"].play()
             sources["audio"].play()
             marks["t0"] = bed.sim.now
-            yield Timeout(bed.sim, play_seconds)
+            yield Timer(bed.sim).after(play_seconds)
             marks["t1"] = bed.sim.now
 
     bed.spawn(driver())

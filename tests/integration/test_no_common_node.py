@@ -15,7 +15,7 @@ from repro.media.sink import PlayoutSink
 from repro.media.source import StoredMediaSource
 from repro.orchestration.hlo import OrchestrationError
 from repro.orchestration.policy import OrchestrationPolicy
-from repro.sim.scheduler import Timeout
+from repro.sim.scheduler import Timer
 from repro.transport.addresses import TransportAddress
 
 
@@ -97,7 +97,7 @@ class TestNoCommonNode:
             yield from session.prime()
             yield from session.start()
             marks["t0"] = bed.sim.now
-            yield Timeout(bed.sim, 20.0)
+            yield Timer(bed.sim).after(20.0)
             marks["t1"] = bed.sim.now
 
         bed.spawn(driver())

@@ -9,7 +9,7 @@ from repro.media.sink import PlayoutSink
 from repro.media.source import StoredMediaSource
 from repro.orchestration.hlo_agent import HLOAgent, StreamSpec
 from repro.orchestration.policy import OrchestrationPolicy
-from repro.sim.scheduler import Timeout
+from repro.sim.scheduler import Timer
 from repro.transport.addresses import TransportAddress
 
 SESSIONS = 8
@@ -61,7 +61,7 @@ class TestConcurrentSessions:
                 reply = yield from agent.start()
                 assert reply.accept
             marks["t0"] = bed.sim.now
-            yield Timeout(bed.sim, 10.0)
+            yield Timer(bed.sim).after(10.0)
             marks["t1"] = bed.sim.now
             marks["presented"] = [sink.presented for sink in sinks]
 

@@ -17,7 +17,7 @@ from repro.media.sink import PlayoutSink
 from repro.media.source import StoredMediaSource
 from repro.orchestration.hlo_agent import HLOAgent, StreamSpec
 from repro.orchestration.policy import OrchestrationPolicy
-from repro.sim.scheduler import Timeout
+from repro.sim.scheduler import Timer
 from repro.transport.addresses import TransportAddress
 from repro.transport.profiles import ProtocolProfile
 from repro.ansa.stream import AudioQoS
@@ -64,7 +64,7 @@ class TestWindowProfileOrchestration:
             out["prime"] = yield from agent.prime()
             out["start"] = yield from agent.start()
             out["t0"] = bed.sim.now
-            yield Timeout(bed.sim, 8.0)
+            yield Timer(bed.sim).after(8.0)
             out["t1"] = bed.sim.now
             out["presented"] = sink.presented
 
@@ -92,13 +92,13 @@ class TestWindowProfileOrchestration:
             yield from agent.establish()
             yield from agent.prime()
             yield from agent.start()
-            yield Timeout(bed.sim, 5.0)
+            yield Timer(bed.sim).after(5.0)
             yield from agent.stop()
-            yield Timeout(bed.sim, 1.0)
+            yield Timer(bed.sim).after(1.0)
             send_vc = bed.entities["srv"].send_vcs[stream.vc_id]
             out["sent_after_stop"] = send_vc.sent_count
             out["presented"] = sink.presented
-            yield Timeout(bed.sim, 4.0)
+            yield Timer(bed.sim).after(4.0)
             out["sent_later"] = send_vc.sent_count
             out["presented_later"] = sink.presented
 
@@ -121,9 +121,9 @@ class TestWindowProfileOrchestration:
             yield from agent.establish()
             yield from agent.prime()
             yield from agent.start()
-            yield Timeout(bed.sim, 5.0)
+            yield Timer(bed.sim).after(5.0)
             yield from agent.stop()
-            yield Timeout(bed.sim, 5.0)
+            yield Timer(bed.sim).after(5.0)
 
         bed.spawn(driver())
         bed.run(40.0)

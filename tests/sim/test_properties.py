@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.clock import NodeClock
-from repro.sim.scheduler import Simulator, Timeout
+from repro.sim.scheduler import Simulator, Timer
 from repro.sim.sync import Queue, Semaphore
 
 
@@ -38,7 +38,7 @@ def test_process_timeouts_accumulate_exactly(delays):
 
     def coro():
         for d in delays:
-            yield Timeout(sim, d)
+            yield Timer(sim).after(d)
         return sim.now
 
     proc = sim.spawn(coro())

@@ -2,14 +2,13 @@
 
 import pytest
 
+from repro.orchestration.llo import _Join
 from repro.sim.scheduler import (
-    AllOf,
-    AnyOf,
     Event,
     Interrupt,
     SimulationError,
     Simulator,
-    Timeout,
+    Timer,
 )
 
 
@@ -98,7 +97,7 @@ class TestEventLoop:
 class TestProcesses:
     def test_process_returns_value(self, sim):
         def coro():
-            yield Timeout(sim, 1.0)
+            yield Timer(sim).after(1.0)
             return 42
 
         proc = sim.spawn(coro())
@@ -110,9 +109,9 @@ class TestProcesses:
         times = []
 
         def coro():
-            yield Timeout(sim, 0.5)
+            yield Timer(sim).after(0.5)
             times.append(sim.now)
-            yield Timeout(sim, 0.25)
+            yield Timer(sim).after(0.25)
             times.append(sim.now)
 
         sim.spawn(coro())
@@ -156,7 +155,7 @@ class TestProcesses:
 
     def test_yielding_process_waits_for_completion(self, sim):
         def child():
-            yield Timeout(sim, 2.0)
+            yield Timer(sim).after(2.0)
             return "done"
 
         def parent():
@@ -176,58 +175,77 @@ class TestProcesses:
             sim.run()
 
     def test_anyof_returns_first_winner(self, sim):
+        """A deadline wait resumes when the event is set first."""
+        ev = Event(sim)
+
         def coro():
-            index, value = yield AnyOf(
-                sim, [Timeout(sim, 5.0, "slow"), Timeout(sim, 1.0, "fast")]
-            )
-            return (sim.now, index, value)
+            fired, value = yield ev.within(5.0)
+            return (sim.now, fired, value)
 
         proc = sim.spawn(coro())
+        sim.call_after(1.0, lambda: ev.set("fast"))
         sim.run()
-        assert proc.finished.value == (1.0, 1, "fast")
+        assert proc.finished.value == (1.0, True, "fast")
 
     def test_anyof_loser_does_not_resume_again(self, sim):
+        """The side of a deadline wait that loses never resumes it."""
+        early, late = Event(sim), Event(sim)
         resumed = []
 
         def coro():
-            result = yield AnyOf(sim, [Timeout(sim, 1.0), Timeout(sim, 2.0)])
-            resumed.append(result)
-            yield Timeout(sim, 5.0)
+            resumed.append((yield early.within(2.0)))
+            resumed.append((yield late.within(1.0)))
+            yield Timer(sim).after(5.0)
 
         sim.spawn(coro())
+        sim.call_after(1.0, lambda: early.set("early"))
+        sim.call_after(3.0, lambda: late.set("late"))
         sim.run()
-        assert len(resumed) == 1
+        assert resumed == [(True, "early"), (False, None)]
+        assert sim.now == 7.0
 
     def test_anyof_empty_rejected(self, sim):
+        """A deadline wait rejects a negative deadline."""
         with pytest.raises(SimulationError):
-            AnyOf(sim, [])
+            Event(sim).within(-1.0)
 
     def test_allof_collects_all_values(self, sim):
+        """Legs joined by one Event resume the joiner once, at the last
+        leg's finish, with every result in leg order."""
+        join = _Join(sim, 2)
+        resumes = []
+
+        def leg(delay, value):
+            yield Timer(sim).after(delay)
+            return value
+
         def coro():
-            values = yield AllOf(
-                sim, [Timeout(sim, 2.0, "a"), Timeout(sim, 1.0, "b")]
-            )
+            values = yield join.done
+            resumes.append((sim.now, values))
+
+        sim.spawn(join.leg(0, leg(2.0, "a")))
+        sim.spawn(join.leg(1, leg(1.0, "b")))
+        sim.spawn(coro())
+        sim.run()
+        assert resumes == [(2.0, ["a", "b"])]
+
+    def test_allof_empty_fires_immediately(self, sim):
+        """A join of no legs resumes the joiner at once."""
+
+        def coro():
+            values = yield _Join(sim, 0).done
             return (sim.now, values)
 
         proc = sim.spawn(coro())
         sim.run()
-        assert proc.finished.value == (2.0, ["a", "b"])
-
-    def test_allof_empty_fires_immediately(self, sim):
-        def coro():
-            values = yield AllOf(sim, [])
-            return values
-
-        proc = sim.spawn(coro())
-        sim.run()
-        assert proc.finished.value == []
+        assert proc.finished.value == (0.0, [])
 
     def test_interrupt_raises_in_process(self, sim):
         caught = []
 
         def coro():
             try:
-                yield Timeout(sim, 100.0)
+                yield Timer(sim).after(100.0)
             except Interrupt as exc:
                 caught.append(exc.cause)
 
@@ -238,7 +256,7 @@ class TestProcesses:
 
     def test_unhandled_interrupt_kills_quietly(self, sim):
         def coro():
-            yield Timeout(sim, 100.0)
+            yield Timer(sim).after(100.0)
 
         proc = sim.spawn(coro())
         sim.call_after(1.0, lambda: proc.interrupt())
@@ -248,7 +266,7 @@ class TestProcesses:
 
     def test_interrupt_dead_process_is_noop(self, sim):
         def coro():
-            yield Timeout(sim, 1.0)
+            yield Timer(sim).after(1.0)
 
         proc = sim.spawn(coro())
         sim.run()
@@ -260,7 +278,7 @@ class TestProcesses:
         before = sim.process_count
 
         def coro():
-            yield Timeout(sim, 0.1)
+            yield Timer(sim).after(0.1)
 
         sim.spawn(coro())
         sim.spawn(coro())

@@ -7,12 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.obs.registry import SpanAccumulator
 from repro.sim.scheduler import (
-    AnyOf,
     Event,
     Interrupt,
     SimulationError,
     Simulator,
-    Timeout,
+    Timer,
 )
 from repro.sim.sync import Queue, QueueFull, Semaphore, TimedSemaphore
 
@@ -226,15 +225,16 @@ class TestAbandonedWaiter:
         assert sem.value == 1
 
     def test_anyof_timeout_leaves_the_queue(self, sim, cls):
+        """An acquire that times out in a deadline wait withdraws."""
         sem = cls(sim, 0)
 
         def coro():
-            index, _value = yield AnyOf(sim, [sem.acquire(), Timeout(sim, 1.0)])
-            return index
+            fired, _value = yield sem.acquire().within(1.0)
+            return fired
 
         proc = sim.spawn(coro())
         sim.run()
-        assert proc.finished.value == 1
+        assert proc.finished.value is False
         assert sem.waiting == 0
         sem.release()
         assert sem.value == 1
@@ -295,10 +295,11 @@ class TestAbandonedWaiterBlockedTime:
         assert sem.blocked_time("app") == 2.0
 
     def test_anyof_timeout_closes_the_span(self, sim):
+        """An acquire that times out in a deadline wait stops accruing."""
         sem = TimedSemaphore(sim, 0)
 
         def coro():
-            yield AnyOf(sim, [sem.acquire("app"), Timeout(sim, 1.5)])
+            yield sem.acquire("app").within(1.5)
 
         sim.spawn(coro())
         sim.run(until=5.0)
@@ -306,6 +307,30 @@ class TestAbandonedWaiterBlockedTime:
 
 
 # -- equivalence with the semaphore this one replaced -------------------------
+
+
+class ReferenceEvent:
+    """An event whose waiters are callbacks: ``set`` runs each through its
+    own ``call_soon`` closure, as does a wait on an event already set."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self._value = None
+        self._is_set = False
+        self._callbacks = []
+
+    def set(self, value=None):
+        self._is_set = True
+        self._value = value
+        for cb in self._callbacks:
+            self.sim.call_soon(lambda cb=cb: cb(value))
+        self._callbacks = []
+
+    def _await(self, callback):
+        if self._is_set:
+            self.sim.call_soon(lambda: callback(self._value))
+        else:
+            self._callbacks.append(callback)
 
 
 class ReferenceTimedSemaphore:
@@ -332,7 +357,7 @@ class ReferenceTimedSemaphore:
 
     def acquire(self, role="unknown"):
         token = self._waits.begin(role)
-        inner = Event(self.sim)
+        inner = ReferenceEvent(self.sim)
         if self._value > 0 and not self._waiters:
             self._value -= 1
             inner.set(None)
@@ -407,7 +432,7 @@ def drive(cls, initial, processes, timed, interrupts=()):
         try:
             for delay, op in steps:
                 if delay:
-                    yield Timeout(sim, delay * TICK)
+                    yield Timer(sim).after(delay * TICK)
                 if op == "acquire":
                     log.append(("wait", index, sim.now))
                     yield sem.acquire(role)
@@ -515,12 +540,12 @@ def test_interrupted_schedules_lose_no_unit(initial, processes, timed, interrupt
 
 def abandon(sim, make_waitable, how):
     """Park a process on ``make_waitable()``, then make it stop waiting:
-    by ``interrupt()`` or by losing an ``AnyOf`` to a ``Timeout``."""
+    by ``interrupt()``, or (``anyof``) by a deadline wait that times out."""
 
     def waiter():
         if how == "anyof":
-            index, _value = yield AnyOf(sim, [make_waitable(), Timeout(sim, 0.5)])
-            return index
+            fired, _value = yield make_waitable().within(0.5)
+            return fired
         try:
             yield make_waitable()
         except Interrupt:
@@ -531,7 +556,7 @@ def abandon(sim, make_waitable, how):
     if how == "interrupt":
         proc.interrupt()
         sim.run()
-    assert proc.finished.value == (1 if how == "anyof" else "interrupted")
+    assert proc.finished.value == (False if how == "anyof" else "interrupted")
 
 
 class TestQueue:

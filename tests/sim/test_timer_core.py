@@ -1,8 +1,9 @@
 """Edge-case coverage for the handle-based timer core.
 
 Complements test_scheduler.py with the kernel corners the multi-layer
-refactor leans on: process interruption at every lifecycle stage, AnyOf
-detach semantics (including timer reclamation, the old Timeout leak),
+refactor leans on: process interruption at every lifecycle stage,
+deadline-wait (``Event.within``) detach semantics (including reclaiming
+the losing deadline, and withdrawing an abandoned acquire or get),
 Event.set re-entrancy, same-time FIFO determinism across reschedules,
 and lazy heap compaction -- notably compaction triggered *inside* a
 running event loop.
@@ -11,15 +12,14 @@ running event loop.
 import pytest
 
 from repro.sim.scheduler import (
-    AnyOf,
     Event,
     Interrupt,
     PeriodicTimer,
     SimulationError,
     Simulator,
-    Timeout,
     Timer,
 )
+from repro.sim.sync import Queue, Semaphore
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +40,7 @@ class TestProcessInterruptLifecycle:
 
         def proc():
             trace.append("ran")
-            yield Timeout(sim, 1.0)
+            yield Timer(sim).after(1.0)
             trace.append("survived")
 
         p = sim.spawn(proc())
@@ -56,10 +56,10 @@ class TestProcessInterruptLifecycle:
 
         def proc():
             try:
-                yield Timeout(sim, 10.0)
+                yield Timer(sim).after(10.0)
             except Interrupt as exc:
                 caught.append(exc.cause)
-            yield Timeout(sim, 1.0)
+            yield Timer(sim).after(1.0)
             return "done"
 
         p = sim.spawn(proc())
@@ -75,7 +75,7 @@ class TestProcessInterruptLifecycle:
         sim = Simulator()
 
         def proc():
-            yield Timeout(sim, 10.0)
+            yield Timer(sim).after(10.0)
 
         p = sim.spawn(proc())
         sim.call_after(1.0, lambda: p.interrupt())
@@ -88,7 +88,7 @@ class TestProcessInterruptLifecycle:
         sim = Simulator()
 
         def proc():
-            yield Timeout(sim, 1000.0)
+            yield Timer(sim).after(1000.0)
 
         p = sim.spawn(proc())
         sim.run(until=0.5)
@@ -101,7 +101,7 @@ class TestProcessInterruptLifecycle:
         sim = Simulator()
 
         def proc():
-            yield Timeout(sim, 1.0)
+            yield Timer(sim).after(1.0)
             return 42
 
         p = sim.spawn(proc())
@@ -118,7 +118,7 @@ class TestProcessInterruptLifecycle:
         def proc():
             while True:
                 try:
-                    yield Timeout(sim, 10.0)
+                    yield Timer(sim).after(10.0)
                 except Interrupt as exc:
                     caught.append(exc.cause)
 
@@ -134,83 +134,191 @@ class TestProcessInterruptLifecycle:
 
 
 # ---------------------------------------------------------------------------
-# AnyOf detach semantics
+# Deadline waits (Event.within): detach semantics
 # ---------------------------------------------------------------------------
 
 
 class TestAnyOfDetach:
     def test_losing_event_fire_after_race_does_not_double_resume(self):
-        sim = Simulator()
-        a, b = Event(sim), Event(sim)
-        resumes = []
-
-        def proc():
-            result = yield AnyOf(sim, [a, b])
-            resumes.append(result)
-            # Keep the process alive past the loser's firing.
-            yield Timeout(sim, 10.0)
-
-        sim.spawn(proc())
-        sim.call_after(1.0, lambda: a.set("first"))
-        sim.call_after(2.0, lambda: b.set("second"))
-        sim.run()
-        assert resumes == [(0, "first")]
-
-    def test_losing_timeout_is_reclaimed_from_heap(self):
-        """The seed kernel leaked the loser's heap entry until it fired."""
-        sim = Simulator()
-        done = Event(sim)
-
-        def proc():
-            yield AnyOf(sim, [done, Timeout(sim, 1000.0)])
-
-        sim.spawn(proc())
-        sim.call_after(1.0, lambda: done.set())
-        sim.run(until=2.0)
-        # Nothing left: the losing timeout was cancelled at detach.
-        assert sim.pending_events == 0
-        assert sim.run() == pytest.approx(2.0)
-
-    def test_losing_timer_is_reclaimed_and_reusable(self):
-        sim = Simulator()
-        done = Event(sim)
-        deadline = Timer(sim)
-        winners = []
-
-        def proc():
-            index, _ = yield AnyOf(sim, [done, deadline.after(1000.0)])
-            winners.append(index)
-            # The same Timer is re-armable after losing a race.
-            yield deadline.after(1.0)
-            winners.append("timer")
-
-        sim.spawn(proc())
-        sim.call_after(1.0, lambda: done.set())
-        sim.run()
-        assert winners == [0, "timer"]
-        assert sim.now == pytest.approx(2.0)
-
-    def test_detach_after_fire_is_safe(self):
-        """Interrupting a process right as its AnyOf wins must not break."""
+        """An event set after its deadline wait timed out resumes nothing."""
         sim = Simulator()
         a = Event(sim)
         resumes = []
 
         def proc():
-            resumes.append((yield AnyOf(sim, [a, Timeout(sim, 5.0)])))
+            resumes.append((yield a.within(1.0)))
+            # Keep the process alive past the loser's firing.
+            yield Timer(sim).after(10.0)
+
+        sim.spawn(proc())
+        sim.call_after(2.0, lambda: a.set("late"))
+        sim.run()
+        assert resumes == [(False, None)]
+
+    def test_losing_timeout_is_reclaimed_from_heap(self):
+        """A deadline that loses is cancelled, not left to fire."""
+        sim = Simulator()
+        done = Event(sim)
+
+        def proc():
+            yield done.within(1000.0)
+
+        sim.spawn(proc())
+        sim.call_after(1.0, lambda: done.set())
+        sim.run(until=2.0)
+        assert sim.pending_events == 0
+        assert sim.run() == pytest.approx(2.0)
+
+    def test_losing_timer_is_reclaimed_and_reusable(self):
+        """The process's deadline handle re-arms for its next deadline wait."""
+        sim = Simulator()
+        done = Event(sim)
+        winners = []
+
+        def proc():
+            fired, _ = yield done.within(1000.0)
+            winners.append(fired)
+            fired, _ = yield Event(sim).within(1.0)
+            winners.append(fired)
+
+        sim.spawn(proc())
+        sim.call_after(1.0, lambda: done.set())
+        sim.run()
+        assert winners == [True, False]
+        assert sim.now == pytest.approx(2.0)
+
+    def test_detach_after_fire_is_safe(self):
+        """Interrupting a process right as its event wins must not break."""
+        sim = Simulator()
+        a = Event(sim)
+        resumes = []
+
+        def proc():
+            resumes.append((yield a.within(5.0)))
 
         p = sim.spawn(proc())
 
         def fire_then_interrupt():
             a.set("win")      # queues the resume
-            p.interrupt()     # detaches (post-fire) and queues the throw
+            p.interrupt()     # cancels the deadline and queues the throw
 
         sim.call_after(1.0, fire_then_interrupt)
         sim.run()
         assert not p.alive
         # The queued resume (FIFO-first) won; the late interrupt found a
         # finished process and was dropped -- exactly one resume, no crash.
-        assert resumes == [(0, "win")]
+        assert resumes == [(True, "win")]
+        assert sim.pending_events == 0
+
+
+class TestDeadlineWait:
+    def test_interrupt_cancels_the_deadline(self):
+        """An interrupted deadline wait leaves nothing armed: parked
+        elsewhere, the process is not resumed at the old deadline."""
+        sim = Simulator()
+        raced, other = Event(sim), Event(sim)
+        log = []
+
+        def proc():
+            try:
+                yield raced.within(2.0)
+            except Interrupt:
+                log.append(("interrupted", sim.now))
+            value = yield other
+            log.append(("woken", sim.now, value))
+
+        p = sim.spawn(proc())
+        sim.run(until=0.5)
+        assert sim.pending_events == 1  # the deadline
+        sim.call_at(1.0, p.interrupt)
+        sim.run(until=1.5)
+        assert sim.pending_events == 0
+        sim.run(until=3.0)
+        assert log == [("interrupted", 1.0)]
+        sim.call_at(4.0, lambda: other.set("other"))
+        sim.run()
+        assert log == [("interrupted", 1.0), ("woken", 4.0, "other")]
+        assert raced._callbacks == []
+
+    def test_already_set_event_resumes_at_once(self):
+        sim = Simulator()
+        ev = Event(sim)
+        ev.set("ready")
+
+        def proc():
+            result = yield ev.within(1.0)
+            return (sim.now, result)
+
+        p = sim.spawn(proc())
+        sim.run()
+        assert p.finished.value == (0.0, (True, "ready"))
+        assert sim.pending_events == 0
+
+    def test_process_join_within(self):
+        sim = Simulator()
+
+        def child(delay):
+            yield Timer(sim).after(delay)
+            return delay
+
+        def parent():
+            quick = yield sim.spawn(child(1.0)).finished.within(2.0)
+            slow = yield sim.spawn(child(5.0)).finished.within(2.0)
+            return (sim.now, quick, slow)
+
+        p = sim.spawn(parent())
+        sim.run()
+        assert p.finished.value == (3.0, (True, 1.0), (False, None))
+
+    @pytest.mark.parametrize("how", ["timeout", "interrupt"])
+    def test_abandoned_acquire_loses_no_unit(self, how):
+        sim = Simulator()
+        sem = Semaphore(sim, 0)
+        got = []
+
+        def racer():
+            try:
+                fired, _ = yield sem.acquire().within(1.0)
+                got.append(("racer", fired, sim.now))
+            except Interrupt:
+                got.append(("racer", "interrupted", sim.now))
+
+        def waiter():
+            yield sem.acquire()
+            got.append(("waiter", True, sim.now))
+
+        p = sim.spawn(racer())
+        sim.spawn(waiter())
+        if how == "interrupt":
+            sim.call_at(0.5, p.interrupt)
+        sim.call_at(2.0, sem.release)
+        sim.call_at(3.0, sem.release)
+        sim.run()
+        ended = 1.0 if how == "timeout" else 0.5
+        racer_result = False if how == "timeout" else "interrupted"
+        assert got == [("racer", racer_result, ended), ("waiter", True, 2.0)]
+        assert (sem.value, sem.waiting, sim.pending_events) == (1, 0, 0)
+
+    @pytest.mark.parametrize("how", ["timeout", "interrupt"])
+    def test_abandoned_get_loses_no_item(self, how):
+        sim = Simulator()
+        q = Queue(sim)
+        got = []
+
+        def racer():
+            try:
+                got.append((yield q.get().within(1.0)))
+            except Interrupt:
+                got.append("interrupted")
+
+        p = sim.spawn(racer())
+        if how == "interrupt":
+            sim.call_at(0.5, p.interrupt)
+        sim.call_at(2.0, lambda: q.put_nowait("item"))
+        sim.run()
+        assert got == [(False, None) if how == "timeout" else "interrupted"]
+        assert q.get_nowait() == "item"
+        assert sim.pending_events == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,35 +1,36 @@
-"""A process is woken by re-arming its own handle: same order as before.
+"""A process is woken by re-arming its own handles: same order as before.
 
 ``Process`` parks itself on an ``Event`` (in the waiter list) or a
 ``Timer`` (as the one waiter) and is woken by re-arming the one
-``TimerHandle`` it owns.  The kernel before it handed every waitable a
-bound ``_resume``, scheduled a fresh ``call_soon`` closure (and with it
-a fresh ``TimerHandle``) per wake-up, and kept a detach closure per
-wait.  That kernel's ``Event`` and ``Process`` are kept here as
-``RefEvent`` and ``RefProcess``, the model the new ones must reproduce:
-random programs of spawns, Event set/wait, semaphore acquire/release,
-Timer waits, ``AnyOf`` races with a ``Timeout`` and interrupts at random
-instants leave the same resume log on both and draw the same number of
-sequence numbers.
+``TimerHandle`` it owns; a deadline wait (``event.within(s)``) arms a
+second handle at the deadline.  The kernel before it handed every
+waitable a bound ``_resume``, scheduled a fresh ``call_soon`` closure
+(and with it a fresh ``TimerHandle``) per wake-up, kept a detach
+closure per wait, and raced an event against a deadline with
+``AnyOf([event, Timeout])``.  That kernel's ``Event``, ``Timer``,
+``Timeout``, ``AnyOf`` and ``Process`` are kept here as ``RefEvent``,
+``RefTimer``, ``RefTimeout``, ``RefAnyOf`` and ``RefProcess``, the model
+the new ones must reproduce: random programs of spawns, Event
+set/wait, semaphore acquire/release, Timer waits, races of an event or
+an acquire against a deadline and interrupts at random instants leave
+the same resume log on both and draw the same number of sequence
+numbers.
 """
 
 from __future__ import annotations
 
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim import sync
 from repro.sim.scheduler import (
-    AnyOf,
     Event,
     Interrupt,
     SimulationError,
     Simulator,
-    Timeout,
     Timer,
     TimerHandle,
-    Waitable,
 )
 from repro.sim.sync import Semaphore
 
@@ -43,7 +44,7 @@ def _no_detach() -> None:
     return None
 
 
-class RefEvent(Waitable):
+class RefEvent:
     """``Event`` before in-place wake-ups: every waiter is a callback,
     resumed through a fresh ``call_soon`` closure."""
 
@@ -94,7 +95,104 @@ class RefGrant(RefEvent):
             self._owner._withdraw(self)
 
 
-class RefProcess(Waitable):
+class RefTimer:
+    """``Timer`` with a callback waiter, detached by a closure."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.value = None
+        self._callback = None
+        self._handle = TimerHandle(sim, self._fire)
+
+    def after(self, delay, value=None):
+        self.value = value
+        self._handle.reschedule(self.sim.now + delay)
+        return self
+
+    def _fire(self):
+        callback, self._callback = self._callback, None
+        if callback is not None:
+            callback(self.value)
+
+    def _await(self, callback):
+        if self._callback is not None:
+            raise SimulationError("Timer already has a waiter")
+        self._callback = callback
+        return self._detach
+
+    def _detach(self):
+        self._callback = None
+        self._handle.cancel()
+
+
+class RefTimeout:
+    """``Timeout``: fires once, ``delay`` seconds after creation; its
+    handle is cancelled when the last waiter detaches."""
+
+    def __init__(self, sim, delay, value=None):
+        self.sim = sim
+        self.value = value
+        self._fired = False
+        self._callbacks = []
+        self._when = sim.now + delay
+        self._handle = sim.call_at(self._when, self._fire)
+
+    def _fire(self):
+        self._fired = True
+        callbacks, self._callbacks = self._callbacks, []
+        for cb in callbacks:
+            cb(self.value)
+
+    def _await(self, callback):
+        if self._fired:
+            self.sim.call_soon(lambda: callback(self.value))
+            return _no_detach
+        if not self._handle.scheduled:
+            self._handle.reschedule(max(self._when, self.sim.now))
+        self._callbacks.append(callback)
+        return lambda: self._discard(callback)
+
+    def _discard(self, callback):
+        try:
+            self._callbacks.remove(callback)
+        except ValueError:
+            return
+        if not self._callbacks and not self._fired:
+            self._handle.cancel()
+
+
+class RefAnyOf:
+    """``AnyOf``: resumes with ``(index, value)`` of the first waitable to
+    fire and detaches the others."""
+
+    def __init__(self, sim, waitables):
+        self.sim = sim
+        self.waitables = list(waitables)
+
+    def _await(self, callback):
+        detachers = []
+        done = [False]
+
+        def detach_all():
+            for detach in detachers:
+                detach()
+
+        def make_cb(index):
+            def on_fire(value):
+                if done[0]:
+                    return
+                done[0] = True
+                detach_all()
+                callback((index, value))
+
+            return on_fire
+
+        for i, w in enumerate(self.waitables):
+            detachers.append(w._await(make_cb(i)))
+        return detach_all
+
+
+class RefProcess:
     """``Process`` before in-place wake-ups: a ``call_soon`` closure to
     start, a bound ``_resume`` handed to every waitable, the detach
     closure it returns kept per wait."""
@@ -187,7 +285,48 @@ _external = st.lists(
 )
 
 
-def play(make_event, spawn, initial, programs, external):
+class NewKernel:
+    """The kernel under test, as ``play`` drives it."""
+
+    event = Event
+    timer = Timer
+
+    @staticmethod
+    def spawn(sim, gen, name):
+        return sim.spawn(gen, name=name)
+
+    @staticmethod
+    def sleep(sim, delay):
+        return Timer(sim).after(delay)
+
+    @staticmethod
+    def race(sim, event, delay):
+        return event.within(delay)
+
+    @staticmethod
+    def raced(value):
+        return value
+
+
+class RefKernel:
+    """The closure kernel, with ``sync`` patched to build its events."""
+
+    event = RefEvent
+    timer = RefTimer
+    spawn = RefProcess
+    sleep = RefTimeout
+
+    @staticmethod
+    def race(sim, event, delay):
+        return RefAnyOf(sim, [event, RefTimeout(sim, delay)])
+
+    @staticmethod
+    def raced(value):
+        index, value = value
+        return (index == 0, value)
+
+
+def play(kernel, initial, programs, external):
     """Run one program; return its log and the kernel's final counts.
 
     The log holds every resumption ``(now, process, value)``, every
@@ -195,36 +334,36 @@ def play(make_event, spawn, initial, programs, external):
     """
     sim = Simulator()
     sem = Semaphore(sim, initial)
-    events = [make_event(sim) for _ in range(EVENTS)]
+    events = [kernel.event(sim) for _ in range(EVENTS)]
     procs = []
     log = []
 
     def fire(index):
         # Set, or renew a set one: later waits find set and unset events.
         if events[index].is_set:
-            events[index] = make_event(sim)
+            events[index] = kernel.event(sim)
         else:
             events[index].set((index, sim.now))
 
     def body(name, steps):
-        timer = Timer(sim)
+        timer = kernel.timer(sim)
         for step in steps:
             op = step[0]
             try:
                 if op == "sleep":
                     value = yield timer.after(step[1] * TICK)
                 elif op == "timeout":
-                    value = yield Timeout(sim, step[1] * TICK)
+                    value = yield kernel.sleep(sim, step[1] * TICK)
                 elif op == "wait":
                     value = yield events[step[1]]
                 elif op == "race":
-                    value = yield AnyOf(
-                        sim, [events[step[1]], Timeout(sim, step[2] * TICK)])
+                    value = kernel.raced((yield kernel.race(
+                        sim, events[step[1]], step[2] * TICK)))
                 elif op == "acquire":
                     value = yield sem.acquire()
                 elif op == "race_acquire":
-                    value = yield AnyOf(
-                        sim, [sem.acquire(), Timeout(sim, step[1] * TICK)])
+                    value = kernel.raced((yield kernel.race(
+                        sim, sem.acquire(), step[1] * TICK)))
                 elif op == "spawn":
                     child = start(f"{name}/{len(procs)}", step[1])
                     if not step[2]:
@@ -243,7 +382,7 @@ def play(make_event, spawn, initial, programs, external):
         return name
 
     def start(name, steps):
-        proc = spawn(sim, body(name, steps), name)
+        proc = kernel.spawn(sim, body(name, steps), name)
         procs.append(proc)
         return proc
 
@@ -266,11 +405,29 @@ def play(make_event, spawn, initial, programs, external):
 
 @given(initial=st.integers(0, 2), programs=_programs, external=_external)
 @settings(max_examples=300, deadline=None)
+# A race on an event that is already set: the deadline's entry is drawn
+# first, the wake-up's second, and the wake-up wins.
+@example(initial=0, programs=[[("set", 0), ("race", 0, 2)]], external=[])
+# ... and with no delay at all, the deadline is due first and wins.
+@example(initial=0, programs=[[("set", 0), ("race", 0, 0)]], external=[])
+# A set in the deadline's own instant, queued behind it: the deadline wins.
+@example(initial=0, programs=[[("race", 0, 1)]], external=[(1, "set", 0)])
+# ... and an acquire granted in that instant.
+@example(initial=0, programs=[[("race_acquire", 1)]],
+         external=[(1, "release", 0)])
+# An interrupt mid-race, on an event and on an acquire.
+@example(initial=0, programs=[[("race", 0, 3), ("wait", 1)]],
+         external=[(1, "interrupt", 0), (2, "set", 0), (3, "set", 1)])
+@example(initial=0, programs=[[("race_acquire", 3)], [("acquire",)]],
+         external=[(1, "interrupt", 0), (2, "release", 0)])
+# The set and an interrupt both in the deadline's instant, ahead of it:
+# the queued wake-up still delivers, then the interrupt lands.
+@example(initial=0, programs=[[("race", 0, 1), ("wait", 1)]],
+         external=[(1, "set", 0), (1, "interrupt", 0)])
 def test_in_place_wake_ups_dispatch_as_the_closure_kernel(initial, programs, external):
-    new = play(Event, lambda sim, gen, name: sim.spawn(gen, name=name),
-               initial, programs, external)
+    new = play(NewKernel, initial, programs, external)
     with mock.patch.multiple(sync, Event=RefEvent, _Grant=RefGrant):
-        reference = play(RefEvent, RefProcess, initial, programs, external)
+        reference = play(RefKernel, initial, programs, external)
     assert new == reference
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.scheduler import Interrupt, SimulationError, Timeout
+from repro.sim.scheduler import Interrupt, SimulationError, Timer
 from repro.transport.buffers import (
     GatedReceiveBuffer,
     ROLE_APPLICATION,
@@ -44,7 +44,7 @@ class TestSharedCircularBuffer:
             return sim.now
 
         def consumer():
-            yield Timeout(sim, 3.0)
+            yield Timer(sim).after(3.0)
             yield from buf.get()
 
         proc = sim.spawn(producer())
@@ -62,7 +62,7 @@ class TestSharedCircularBuffer:
             return (sim.now, item.seq)
 
         def producer():
-            yield Timeout(sim, 2.0)
+            yield Timer(sim).after(2.0)
             yield from buf.put(osdu(7))
 
         proc = sim.spawn(consumer())

@@ -6,6 +6,7 @@ from repro.netsim.link import BernoulliLoss
 from repro.netsim.reservation import ReservationManager
 from repro.netsim.topology import Network
 from repro.sim.random import RandomStreams
+from repro.sim.scheduler import Timer
 from repro.transport.addresses import TransportAddress
 from repro.transport.osdu import OPDU, OSDU
 from repro.transport.profiles import ClassOfService, ProtocolProfile
@@ -220,9 +221,8 @@ class TestBlockingStats:
         received = []
 
         def slow_producer():
-            from repro.sim.scheduler import Timeout
             for i in range(3):
-                yield Timeout(sim, 1.0)
+                yield Timer(sim).after(1.0)
                 yield from send.write(OSDU(size_bytes=100, payload=i))
 
         def consumer():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.scheduler import Timeout
+from repro.sim.scheduler import Timer
 from repro.transport.flowcontrol import (
     RateBasedFlowControl,
     WindowBasedFlowControl,
@@ -33,7 +33,7 @@ class TestRateBased:
         times = []
 
         def sender():
-            yield Timeout(sim, 1.0)  # idle for 1 s
+            yield Timer(sim).after(1.0)  # idle for 1 s
             for _ in range(3):
                 yield from flow.acquire_slot(800)
                 times.append(sim.now)

@@ -5,7 +5,7 @@ import pytest
 from repro.netsim.reservation import ReservationManager
 from repro.netsim.topology import Network
 from repro.sim.random import RandomStreams
-from repro.sim.scheduler import Timeout
+from repro.sim.scheduler import Timer
 from repro.transport.addresses import TransportAddress
 from repro.transport.osdu import OSDU
 from repro.transport.qos import QoSSpec
@@ -40,7 +40,7 @@ class TestCreditLoop:
             for i in range(100):
                 wrote = send.try_write(OSDU(size_bytes=500, payload=i))
                 if not wrote:
-                    yield Timeout(sim, 0.01)
+                    yield Timer(sim).after(0.01)
 
         sim.spawn(producer())
         sim.run(until=sim.now + 5.0)
