@@ -11,6 +11,9 @@ oscillator tolerances of real workstations (typically 1-100 ppm).
 
 from __future__ import annotations
 
+from array import array
+from typing import Callable, List
+
 from repro.sim.scheduler import SimulationError, Simulator
 
 
@@ -29,6 +32,7 @@ class NodeClock:
         self.sim = sim
         self.skew_ppm = skew_ppm
         self.offset = offset
+        self._watchers: List[Callable[[], None]] = []
 
     @property
     def rate(self) -> float:
@@ -55,6 +59,40 @@ class NodeClock:
         """Real (simulator) seconds for a local-clock duration."""
         return local_duration / self.rate
 
+    def tick_times(self, sim_time: float, start_local: float, length: float,
+                   n: int, first: int = 1) -> "array[float]":
+        """Simulator instants at which a process sleeping on this clock
+        wakes for local ticks ``start_local + length * k / n``, ``k`` from
+        ``first`` to ``n``, in turn.
+
+        The process starts at ``sim_time``; for each tick it sleeps
+        ``sim_duration(tick - now())`` when that is positive and not at
+        all otherwise.  The arithmetic is that sleep's, so the instants
+        are bit-identical to it -- provided the clock is not changed
+        meanwhile (see :meth:`watch`).  Returned as unboxed doubles: an
+        interval's schedule keeps them all.
+        """
+        offset, rate = self.offset, self.rate
+        times = array("d")
+        append = times.append
+        for k in range(first, n + 1):
+            remaining = start_local + length * k / n - (offset + rate * sim_time)
+            if remaining > 0:
+                sim_time = sim_time + remaining / rate
+            append(sim_time)
+        return times
+
+    def watch(self, fn: Callable[[], None]) -> None:
+        """Call ``fn()`` after every :meth:`adjust` and :meth:`set_skew_ppm`."""
+        self._watchers.append(fn)
+
+    def unwatch(self, fn: Callable[[], None]) -> None:
+        self._watchers.remove(fn)
+
+    def _changed(self) -> None:
+        for fn in list(self._watchers):
+            fn()
+
     def adjust(self, offset_delta: float) -> None:
         """Step the clock by ``offset_delta`` local seconds.
 
@@ -62,6 +100,7 @@ class NodeClock:
         toward the orchestrating node's datum.
         """
         self.offset += offset_delta
+        self._changed()
 
     def set_skew_ppm(self, skew_ppm: float) -> None:
         """Change the rate error, preserving continuity of local time.
@@ -72,6 +111,7 @@ class NodeClock:
         current_local = self.now()
         self.skew_ppm = skew_ppm
         self.offset = current_local - self.rate * self.sim.now
+        self._changed()
 
     def offset_from(self, other: "NodeClock") -> float:
         """Instantaneous difference ``self.now() - other.now()``."""

@@ -613,6 +613,11 @@ class Timer(Waitable):
     def scheduled(self) -> bool:
         return self._handle.scheduled
 
+    @property
+    def when(self) -> Optional[float]:
+        """The instant the timer is (or was last) armed for."""
+        return self._handle.when
+
     def after(self, delay: float, value: Any = None) -> "Timer":
         """Arm (or re-arm) to fire ``delay`` seconds from now."""
         if delay < 0:
@@ -776,6 +781,13 @@ class Event(Waitable):
         except ValueError:
             pass
 
+    def _refund(self) -> None:
+        """A deadline beat the wake-up this event's set() queued.
+
+        A plain event stays set, so nothing is lost; a
+        :class:`repro.sim.sync._Grant` hands its unit or item back.
+        """
+
 
 class _Within(Waitable):
     """What :meth:`Event.within` returns: an event and a deadline."""
@@ -837,11 +849,14 @@ class Process(Waitable):
 
     def _time_out(self) -> None:
         # The deadline beat the event.  A set() in this same instant
-        # queued its wake-up behind the deadline: that wake-up loses.
+        # queued its wake-up behind the deadline: that wake-up loses,
+        # and what the set handed over goes back to its owner.
         self._racing = False
-        self._wake.cancel()
-        self._wake_value = None
-        if self._detach is not None:
+        if self._wake._live:
+            self._wake.cancel()
+            self._wake_value = None
+            self._detach._refund()
+        else:
             self._detach._discard(self)
         self._resume((False, None))
 
@@ -891,6 +906,7 @@ class Process(Waitable):
             sim._push(self._deadline, sim._now + waitable.seconds)
             self._racing = True
             self._wait_on(waitable.event)
+            self._detach = waitable.event  # also when already set
         elif isinstance(waitable, Process):
             self._wait_on(waitable.finished)
         else:

@@ -23,6 +23,7 @@ from repro.sim.scheduler import Process, Simulator
 from repro.transport.addresses import TransportAddress
 from repro.transport.buffers import (
     GatedReceiveBuffer,
+    MeterSchedule,
     ROLE_APPLICATION,
     ROLE_PROTOCOL,
     SharedCircularBuffer,
@@ -673,8 +674,9 @@ class RecvVC:
                 f"gate:{state}", track=self._track, cat="gate",
             )
 
-    def grant(self, n: int = 1) -> None:
-        self.buffer.grant(n)
+    def grant(self, schedule: MeterSchedule) -> None:
+        """Pace the metered gate by one regulation interval's schedule."""
+        self.buffer.grant(schedule)
 
     def when_primed(self):
         return self.buffer.when_full()

@@ -80,6 +80,9 @@ class RefEvent:
         except ValueError:
             pass
 
+    def _refund(self):
+        pass
+
 
 class RefGrant(RefEvent):
     """``sync._Grant`` over ``RefEvent``: withdraws when abandoned."""
@@ -93,6 +96,9 @@ class RefGrant(RefEvent):
         super()._discard(callback)
         if not self._is_set and not self._callbacks:
             self._owner._withdraw(self)
+
+    def _refund(self):
+        self._owner._refund(self)
 
 
 class RefTimer:
@@ -163,7 +169,9 @@ class RefTimeout:
 
 class RefAnyOf:
     """``AnyOf``: resumes with ``(index, value)`` of the first waitable to
-    fire and detaches the others."""
+    fire and detaches the others.  When the deadline (index 1) wins
+    while the event's set is still queued to it, what the set handed
+    over goes back to its owner first, which ``AnyOf`` did not do."""
 
     def __init__(self, sim, waitables):
         self.sim = sim
@@ -183,6 +191,8 @@ class RefAnyOf:
                     return
                 done[0] = True
                 detach_all()
+                if index == 1 and self.waitables[0].is_set:
+                    self.waitables[0]._refund()
                 callback((index, value))
 
             return on_fire
@@ -412,9 +422,14 @@ def play(kernel, initial, programs, external):
 @example(initial=0, programs=[[("set", 0), ("race", 0, 0)]], external=[])
 # A set in the deadline's own instant, queued behind it: the deadline wins.
 @example(initial=0, programs=[[("race", 0, 1)]], external=[(1, "set", 0)])
-# ... and an acquire granted in that instant.
+# ... and an acquire granted in that instant: the unit goes back to
+# the semaphore (or its next waiter), not to nobody.
 @example(initial=0, programs=[[("race_acquire", 1)]],
          external=[(1, "release", 0)])
+@example(initial=0, programs=[[("race_acquire", 1)], [("acquire",)]],
+         external=[(1, "release", 0)])
+# A free unit raced against no delay at all: the deadline is due first.
+@example(initial=1, programs=[[("race_acquire", 0)]], external=[])
 # An interrupt mid-race, on an event and on an acquire.
 @example(initial=0, programs=[[("race", 0, 3), ("wait", 1)]],
          external=[(1, "interrupt", 0), (2, "set", 0), (3, "set", 1)])

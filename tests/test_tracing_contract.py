@@ -61,3 +61,45 @@ def test_install_patches_and_uninstall_restores_every_attribute():
         recorder.uninstall()
     assert untouched == []
     assert [cls.__dict__[attr] for cls, attr in targets] == originals
+
+
+# -- what perf/workloads/film.py reads off a live stack ----------------------
+
+
+def test_film_workload_reads_every_attribute_it_names(monkeypatch, tmp_path):
+    """One short ``film_orch`` rep on one group: ``film.run`` reads the
+    stack's counters, buffers, session reports and media endpoints by
+    name, so a rename fails here rather than in a benchmark run."""
+    from perf.harness import Phases
+    from perf.workloads import film
+
+    seen = {}
+    collect = film._collect
+
+    def recording_collect(stack, groups, *args):
+        seen["stack"], seen["groups"] = stack, groups
+        return collect(stack, groups, *args)
+
+    monkeypatch.setattr(film, "GROUPS", 1)
+    monkeypatch.setattr(film, "PLAY_SECONDS", {"film_orch": 2})
+    monkeypatch.setattr(film, "_collect", recording_collect)
+    stats = film.run("film_orch", 1, Phases(), str(tmp_path))
+    assert stats.problems == []
+    assert stats.units > 0
+
+    stack = seen["stack"]
+    group = seen["groups"][0]
+    reports = group.session.reports()
+    assert reports
+    assert group.session.max_skew(since=0.0) >= 0.0
+    for name, stream in group.streams.items():
+        send_vc = stack.entities[stream.source_node].send_vcs[stream.vc_id]
+        recv_vc = stack.entities[stream.sink_node].recv_vcs[stream.vc_id]
+        for report in reports:
+            if stream.vc_id in report.streams:
+                assert report.streams[stream.vc_id].dropped_delta >= 0
+        assert recv_vc.lost_count >= 0
+        assert recv_vc.source_dropped_count >= 0
+        assert send_vc.buffer.capacity > 0 and recv_vc.buffer.capacity > 0
+        assert send_vc.blocked_time("protocol") >= 0.0
+        assert group.sources[name].generated >= group.sinks[name].presented > 0
