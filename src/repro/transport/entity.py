@@ -8,13 +8,15 @@ the binding's primitive queue.
 
 Implemented flows, each mapped to the paper:
 
-- conventional connect (initiator == source, section 4.1.1);
-- remote connect (initiator, source, destination all distinct,
-  section 3.5, Figures 2 and 3);
+- T-Connect (Table 1) and T-Renegotiate (Table 3) as one confirmed
+  service -- request, indication, response, confirm -- conventional
+  (initiator == source, section 4.1.1) or relayed through the source
+  for a distinct initiator (section 3.5, Figures 2 and 3), with the
+  rejected-renegotiation rule "the existing VC is not torn down"
+  (section 4.1.3).  A :class:`_Kind` record holds what differs
+  between the two; everything else is one exchange;
 - remote and local release (section 4.1.1);
-- QoS degradation indication (section 4.1.2, Table 2);
-- QoS renegotiation, local and remote, with the rejected-renegotiation
-  rule "the existing VC is not torn down" (section 4.1.3, Table 3).
+- QoS degradation indication (section 4.1.2, Table 2).
 
 QoS offers are computed from the route: reservable bandwidth (via the
 ST-II-like :class:`~repro.netsim.reservation.ReservationManager`),
@@ -26,8 +28,9 @@ improve the offered residual error rates (one recovery round).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace as dc_replace
-from typing import Dict, Generator, Optional, Tuple
+from dataclasses import dataclass, fields, replace as dc_replace
+from functools import partial
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.netsim.packet import Packet, Priority
 from repro.netsim.reservation import AdmissionError, Reservation, ReservationManager
@@ -178,29 +181,30 @@ class TSAPBinding:
 
 
 @dataclass
-class _SourcePending:
-    """A connect in progress at the source entity."""
+class _Exchange:
+    """One T-Connect or T-Renegotiate in progress at one entity.
 
-    request: TConnectRequest
-    offer: QoSOffer
-    reservation: Optional[Reservation]
-    remote_initiator: bool
-    #: Open trace span covering the CR -> CC/CJ handshake (None when
-    #: tracing is disabled).
+    It waits in the table of the role this entity plays: initiator
+    awaiting the relayed outcome, source awaiting its user or its peer,
+    or sink awaiting its user.
+    """
+
+    kind: "_Kind"
+    request: Any  # TConnectRequest or TRenegotiateRequest
+    offer: Optional[QoSOffer] = None
+    reservation: Optional[Reservation] = None
+    #: At the source: a distinct initiator relayed the request and is
+    #: owed the outcome too (section 3.5).
+    remote_initiator: bool = False
+    #: Open trace span over the source's request -> confirm/reject
+    #: handshake (None when tracing is disabled).
     span: Optional[object] = None
 
 
 @dataclass
-class _DstPending:
-    """An indicated connect awaiting the destination user's response."""
-
-    request: TConnectRequest
-    offer: QoSOffer
-
-
-@dataclass
 class _VCRecord:
-    """Source-side bookkeeping for an established VC."""
+    """Bookkeeping for an established VC at its source, and at a
+    distinct initiator (which reserves nothing)."""
 
     request: TConnectRequest
     contract: QoSContract
@@ -227,40 +231,51 @@ class TransportEntity:
         self.gap_timeout = gap_timeout
         self.host = network.host(node_name)
         self.host.register_handler("tpdu", self._on_packet)
-        # Control-TPDU dispatch table, built once per entity instead of
-        # per packet.
+        # Control-TPDU dispatch, built once per entity instead of per
+        # packet: the transition table of the confirmed services.  A
+        # handler gets the TPDU and the node it came from.
         self._control_dispatch = {
-            ConnectRequestTPDU: self._on_connect_request,
-            ConnectConfirmTPDU: self._on_connect_confirm,
-            ConnectRejectTPDU: self._on_connect_reject,
-            RemoteConnectTPDU: self._on_remote_connect,
+            # Table 1 T-Connect, at the sink: CR -> indication.
+            ConnectRequestTPDU: partial(self._on_peer_request, CONNECT),
+            # Table 1, at the source: CC -> confirm.
+            ConnectConfirmTPDU: partial(self._on_peer_confirm, CONNECT),
+            # Table 1, at the source: refused -> T-Disconnect.indication.
+            ConnectRejectTPDU: partial(self._on_peer_reject, CONNECT),
+            # Table 1 relayed (Figure 3), at the source: -> indication.
+            RemoteConnectTPDU: partial(self._on_relayed_request, CONNECT),
+            # Table 1 relayed, at the initiator: outcome -> confirm or
+            # T-Disconnect.indication; later, the VC's release.
             RemoteOutcomeTPDU: self._on_remote_outcome,
+            # Table 1 T-Disconnect from a remote initiator.
             RemoteDisconnectTPDU: self._on_remote_disconnect,
+            # Table 1 T-Disconnect from the peer end.
             DisconnectTPDU: self._on_disconnect,
-            RenegotiateRequestTPDU: self._on_renegotiate_request,
-            RenegotiateConfirmTPDU: self._on_renegotiate_confirm,
-            RenegotiateRejectTPDU: self._on_renegotiate_reject,
-            RemoteRenegotiateTPDU: self._on_remote_renegotiate,
-            RemoteRenegotiateOutcomeTPDU: self._on_remote_renegotiate_outcome,
+            # Table 3 T-Renegotiate, at the sink: RR -> indication.
+            RenegotiateRequestTPDU: partial(self._on_peer_request, RENEGOTIATE),
+            # Table 3, at the source: RC -> confirm.
+            RenegotiateConfirmTPDU: partial(self._on_peer_confirm, RENEGOTIATE),
+            # Table 3, at the source: refused -> T-Disconnect.indication.
+            RenegotiateRejectTPDU: partial(self._on_peer_reject, RENEGOTIATE),
+            # Table 3 relayed, at the source: -> indication.
+            RemoteRenegotiateTPDU: partial(self._on_relayed_request, RENEGOTIATE),
+            # Table 3 relayed, at the initiator: outcome -> confirm or
+            # T-Disconnect.indication.
+            RemoteRenegotiateOutcomeTPDU: partial(self._on_outcome, RENEGOTIATE),
+            # Table 2 T-QoS.indication for a distinct initiator.
             QoSReportTPDU: self._on_qos_report,
         }
         self.bindings: Dict[int, TSAPBinding] = {}
         self.send_vcs: Dict[str, SendVC] = {}
         self.recv_vcs: Dict[str, RecvVC] = {}
-        # Connect state machines.
-        self._src_pending: Dict[str, _SourcePending] = {}
-        self._src_accept_pending: Dict[str, TConnectRequest] = {}
-        self._dst_pending: Dict[str, _DstPending] = {}
-        self._remote_pending: Dict[str, TConnectRequest] = {}
-        # Renegotiation state machines.
-        self._reneg_src_pending: Dict[str, TRenegotiateRequest] = {}
-        self._reneg_src_accept: Dict[str, TRenegotiateRequest] = {}
-        self._reneg_dst_pending: Dict[str, Tuple[TRenegotiateRequest, QoSOffer]] = {}
-        self._reneg_remote_pending: Dict[str, TRenegotiateRequest] = {}
-        # Outstanding source-side renegotiation offers, kept so a lost
-        # RenegotiateRequestTPDU can be retransmitted verbatim.
-        self._reneg_offers: Dict[str, QoSOffer] = {}
-        # Source-side VC records (for release/renegotiation/relay).
+        # Exchanges in progress by vc id, one table per waiting role: the
+        # initiator awaiting the relayed outcome, the source awaiting its
+        # user or its peer, the sink awaiting its user.
+        self._await_outcome: Dict[str, _Exchange] = {}
+        self._await_src_user: Dict[str, _Exchange] = {}
+        self._await_peer: Dict[str, _Exchange] = {}
+        self._await_sink_user: Dict[str, _Exchange] = {}
+        # Established VCs at their source (for release, renegotiation
+        # and relay) and at a distinct initiator (for release).
         self._vc_records: Dict[str, _VCRecord] = {}
         # Graceful degradation (opt-in; see repro.transport.degradation).
         self._degradation: Optional[DegradationConfig] = None
@@ -311,98 +326,119 @@ class TransportEntity:
     def request(self, primitive: TransportPrimitive) -> None:
         """Issue a request or response primitive at this entity."""
         if isinstance(primitive, TConnectRequest):
-            self._handle_connect_request(primitive)
+            self._on_user_request(CONNECT, primitive)
         elif isinstance(primitive, TConnectResponse):
-            self._handle_connect_response(primitive)
+            self._on_user_response(CONNECT, primitive)
         elif isinstance(primitive, TDisconnectRequest):
             self._handle_disconnect_request(primitive)
         elif isinstance(primitive, TRenegotiateRequest):
-            self._handle_renegotiate_request(primitive)
+            self._on_user_request(RENEGOTIATE, primitive)
         elif isinstance(primitive, TRenegotiateResponse):
-            self._handle_renegotiate_response(primitive)
+            self._on_user_response(RENEGOTIATE, primitive)
         else:
             raise TransportServiceError(
                 f"primitive {type(primitive).__name__} is not a request type"
             )
 
     # ------------------------------------------------------------------
-    # Connect: initiator side
+    # Confirmed service: T-Connect (Table 1) and T-Renegotiate (Table 3)
     # ------------------------------------------------------------------
+    #
+    # Every leg that waits on a peer -- source -> sink, and initiator ->
+    # source for a distinct initiator -- is retransmitted until it is
+    # answered or the kind's budget is spent, and the request is then
+    # answered by the waiting end.  Responders ignore a request they
+    # have already indicated; a relayed connect or a CR for a VC already
+    # held gets its accepted outcome repeated (the kind's ``admit_*``
+    # steps).
 
-    def _handle_connect_request(self, request: TConnectRequest) -> None:
+    def _on_user_request(self, kind: "_Kind", request) -> None:
         if request.initiator.node != self.node_name:
             raise TransportServiceError(
-                f"T-Connect.request issued at {self.node_name}, but initiator "
-                f"is {request.initiator}"
+                f"{kind.service}.request issued at {self.node_name}, but "
+                f"initiator is {request.initiator}"
             )
         if request.initiator == request.src:
-            # Conventional connect: the initiator is the sender.
-            self._begin_source_connect(request, remote_initiator=False)
-        else:
-            # Remote connect (Figure 2): relay to the source entity.
-            self._remote_pending[request.vc_id] = request
-            self._send_control(
-                request.src.node, RemoteConnectTPDU(request=request)
-            )
+            self._begin_source(kind, request, remote_initiator=False)
+            return
+        # A distinct initiator relays to the source entity (Figure 2).
+        refusal = kind.outcome_tpdu(
+            vc_id=request.vc_id, reason=REASON_REJECTED_BY_NETWORK
+        )
+        self._send_until_answered(
+            self._await_outcome, _Exchange(kind, request), request.src.node,
+            kind.relay_tpdu(request=request), f"relay-{kind.retry_name}",
+            partial(self._on_outcome, kind, refusal, self.node_name),
+        )
 
-    def _on_remote_connect(self, tpdu: RemoteConnectTPDU) -> None:
+    def _on_relayed_request(self, kind: "_Kind", tpdu, sender: str) -> None:
+        """At the source: a distinct initiator's request (Figure 3)."""
         request = tpdu.request
-        binding = self.bindings.get(request.src.tsap)
-        if binding is None:
-            self._send_control(
-                request.initiator.node,
-                RemoteOutcomeTPDU(
-                    vc_id=request.vc_id,
-                    accepted=False,
-                    reason=REASON_NO_SUCH_TSAP,
-                    request=request,
-                ),
-            )
+        vc_id = request.vc_id
+        if vc_id in self._await_src_user or vc_id in self._await_peer:
+            return  # already indicated: a retransmission
+        reply = kind.admit_at_source(self, request)
+        if reply is not None:
+            self._send_control(request.initiator.node, reply)
             return
-        self._src_accept_pending[request.vc_id] = request
-        binding.deliver(TConnectIndication(**_connect_params(request)))
+        self._await_src_user[vc_id] = _Exchange(
+            kind, request, remote_initiator=True
+        )
+        self.bindings[request.src.tsap].deliver(
+            kind.indication(**_params(request))
+        )
 
-    def _on_remote_outcome(self, tpdu: RemoteOutcomeTPDU) -> None:
-        request = self._remote_pending.pop(tpdu.vc_id, None)
-        if request is None:
-            request = tpdu.request
-        if request is None:
-            return
-        binding = self.bindings.get(request.initiator.tsap)
-        if binding is None:
-            return
-        if tpdu.accepted:
-            binding.deliver(
-                TConnectConfirm(**_connect_params(request), contract=tpdu.contract)
+    def _on_user_response(self, kind: "_Kind", response) -> None:
+        vc_id = response.vc_id
+        pending = self._await_src_user.get(vc_id)
+        if pending is not None and pending.kind is kind:
+            # The source's user accepted a relayed request.
+            del self._await_src_user[vc_id]
+            request = dc_replace(
+                pending.request,
+                **{kind.qos_field: kind.tightened(pending.request, response)},
             )
-        else:
-            binding.deliver(
-                TDisconnectIndication(
-                    initiator=request.initiator,
-                    vc_id=tpdu.vc_id,
-                    reason=tpdu.reason,
-                )
-            )
-
-    # ------------------------------------------------------------------
-    # Connect: source side
-    # ------------------------------------------------------------------
-
-    def _begin_source_connect(
-        self, request: TConnectRequest, remote_initiator: bool
-    ) -> None:
-        if request.src.node != self.node_name:
+            self._begin_source(kind, request, remote_initiator=True)
+            return
+        pending = self._await_sink_user.get(vc_id)
+        if pending is None or pending.kind is not kind:
             raise TransportServiceError(
-                f"source connect at {self.node_name} for source {request.src}"
+                f"{kind.service}.response for unknown VC {vc_id!r}"
             )
-        offer, reservation, reason = self._compute_offer(request)
+        del self._await_sink_user[vc_id]
+        request = pending.request
+        contract = kind.tightened(request, response).negotiate(pending.offer)
+        if contract is None or not kind.commit_at_sink(self, request, contract):
+            self._send_control(
+                request.src.node,
+                kind.reject_tpdu(vc_id=vc_id, reason=REASON_QOS_UNACCEPTABLE),
+            )
+            binding = self.bindings.get(request.dst.tsap)
+            if binding is not None:
+                binding.deliver(
+                    TDisconnectIndication(
+                        initiator=request.initiator,
+                        vc_id=vc_id,
+                        reason=REASON_QOS_UNACCEPTABLE,
+                    )
+                )
+            return
+        self._send_control(
+            request.src.node, kind.confirm_tpdu(vc_id=vc_id, contract=contract)
+        )
+
+    def _begin_source(
+        self, kind: "_Kind", request, remote_initiator: bool
+    ) -> None:
+        offer, reservation, reason = kind.offer(self, request)
+        exchange = _Exchange(kind, request, offer, reservation, remote_initiator)
         if offer is None:
-            self._source_connect_failed(request, remote_initiator, reason)
+            self._fail(exchange, reason)
             return
         trace = self.sim.trace
-        span = (
-            trace.span(
-                f"connect:{request.vc_id}",
+        if trace.enabled:
+            exchange.span = trace.span(
+                f"{kind.name}:{request.vc_id}",
                 track=f"vc:{request.vc_id}",
                 cat="transport",
                 args={
@@ -411,54 +447,203 @@ class TransportEntity:
                     "remote_initiator": remote_initiator,
                 },
             )
-            if trace.enabled
-            else None
+        refusal = kind.reject_tpdu(
+            vc_id=request.vc_id, reason=REASON_REJECTED_BY_NETWORK
         )
-        self._src_pending[request.vc_id] = _SourcePending(
-            request, offer, reservation, remote_initiator, span
+        self._send_until_answered(
+            self._await_peer, exchange, request.dst.node,
+            kind.request_tpdu(request=request, offer=offer), kind.retry_name,
+            partial(self._on_peer_reject, kind, refusal, self.node_name),
         )
-        self._send_control(
-            request.dst.node, ConnectRequestTPDU(request=request, offer=offer)
-        )
-        # Establishment control PDUs may be lost: retransmit the CR
-        # until the exchange concludes or the retry budget is spent.
+
+    def _send_until_answered(
+        self,
+        table: Dict[str, _Exchange],
+        exchange: _Exchange,
+        dst_node: str,
+        tpdu,
+        name: str,
+        give_up: Callable[[], None],
+    ) -> None:
+        """Wait in ``table`` for ``exchange``'s answer, sending ``tpdu``.
+
+        Control TPDUs may be lost: ``tpdu`` is retransmitted until the
+        exchange leaves ``table`` or the kind's budget is spent, when
+        ``give_up()`` answers it as a refusal by the network.
+        """
+        vc_id = exchange.request.vc_id
+        table[vc_id] = exchange
+        self._send_control(dst_node, tpdu)
         self.sim.spawn(
-            self._cr_retry_loop(request.vc_id),
-            name=f"cr-retry:{request.vc_id}",
+            self._retransmit(table, exchange, dst_node, tpdu, give_up),
+            name=f"{name}:{vc_id}",
         )
 
-    #: Connect-request retransmission schedule.
-    CR_RETRY_INTERVAL = 0.5
-    CR_RETRY_LIMIT = 5
-
-    def _cr_retry_loop(self, vc_id: str):
+    def _retransmit(self, table, exchange, dst_node, tpdu, give_up):
+        vc_id = exchange.request.vc_id
         retry = Timer(self.sim)
-        for _attempt in range(self.CR_RETRY_LIMIT):
-            yield retry.after(self.CR_RETRY_INTERVAL)
-            pending = self._src_pending.get(vc_id)
-            if pending is None:
-                return  # concluded (confirm or reject arrived)
-            self._send_control(
-                pending.request.dst.node,
-                ConnectRequestTPDU(request=pending.request,
-                                   offer=pending.offer),
+        for _attempt in range(exchange.kind.retry_limit):
+            yield retry.after(exchange.kind.retry_interval)
+            if table.get(vc_id) is not exchange:
+                return  # answered
+            self._send_control(dst_node, tpdu)
+        if table.get(vc_id) is exchange:
+            give_up()
+
+    def _fail(self, exchange: _Exchange, reason: str) -> None:
+        """The source concludes ``exchange`` unsuccessfully.
+
+        Its user, and a distinct initiator, get a
+        T-Disconnect.indication carrying ``reason``.
+        """
+        if exchange.span is not None:
+            exchange.span.end(outcome="rejected", reason=reason)
+        if exchange.reservation is not None:
+            self.reservations.release(exchange.reservation)
+        request = exchange.request
+        exchange.kind.failed_at_source(self, request, reason)
+        binding = self.bindings.get(request.src.tsap)
+        if binding is not None:
+            binding.deliver(
+                TDisconnectIndication(
+                    initiator=request.initiator, vc_id=request.vc_id,
+                    reason=reason,
+                )
             )
-        pending = self._src_pending.pop(vc_id, None)
-        if pending is None:
+        if exchange.remote_initiator:
+            self._send_control(
+                request.initiator.node,
+                exchange.kind.outcome_tpdu(
+                    vc_id=request.vc_id, accepted=False, reason=reason,
+                    request=request,
+                ),
+            )
+
+    def _on_peer_request(self, kind: "_Kind", tpdu, sender: str) -> None:
+        """At the sink: the source's request -> indication."""
+        request = tpdu.request
+        if request.vc_id in self._await_sink_user:
+            return  # already indicated: a retransmission
+        reply = kind.admit_at_sink(self, request)
+        if reply is not None:
+            self._send_control(request.src.node, reply)
             return
-        if pending.span is not None:
-            pending.span.end(outcome="retry-exhausted")
-        if pending.reservation is not None:
-            self.reservations.release(pending.reservation)
-        self._source_connect_failed(
-            pending.request, pending.remote_initiator,
-            REASON_REJECTED_BY_NETWORK,
+        self._await_sink_user[request.vc_id] = _Exchange(
+            kind, request, tpdu.offer
+        )
+        self.bindings[request.dst.tsap].deliver(
+            kind.indication(**_params(request))
         )
 
-    def _compute_offer(
+    def _on_peer_confirm(self, kind: "_Kind", tpdu, sender: str) -> None:
+        """At the source: the sink accepted -> confirm."""
+        vc_id = tpdu.vc_id
+        exchange = self._await_peer.get(vc_id)
+        if exchange is None or exchange.kind is not kind:
+            if vc_id not in self.send_vcs:
+                # The sink accepted after this source gave up: release
+                # the sink's half of the VC.
+                self._send_control(
+                    sender,
+                    DisconnectTPDU(
+                        vc_id=vc_id, reason=REASON_REJECTED_BY_NETWORK
+                    ),
+                )
+            return
+        del self._await_peer[vc_id]
+        if exchange.span is not None:
+            exchange.span.end(outcome="confirmed")
+        contract = tpdu.contract
+        kind.commit_at_source(self, exchange, contract)
+        request = exchange.request
+        binding = self.bindings.get(request.src.tsap)
+        if binding is not None:
+            binding.deliver(kind.confirm(**_params(request), contract=contract))
+        if exchange.remote_initiator:
+            self._send_control(
+                request.initiator.node,
+                kind.outcome_tpdu(
+                    vc_id=vc_id, accepted=True, contract=contract,
+                    request=request,
+                ),
+            )
+
+    def _on_peer_reject(self, kind: "_Kind", tpdu, sender: str) -> None:
+        exchange = self._await_peer.get(tpdu.vc_id)
+        if exchange is None or exchange.kind is not kind:
+            return
+        del self._await_peer[tpdu.vc_id]
+        self._fail(exchange, tpdu.reason)
+
+    def _on_outcome(self, kind: "_Kind", tpdu, sender: str) -> bool:
+        """At a distinct initiator: the outcome the source relayed
+        (section 3.5).  False when no exchange awaited it."""
+        exchange = self._await_outcome.get(tpdu.vc_id)
+        if exchange is None or exchange.kind is not kind:
+            return False
+        del self._await_outcome[tpdu.vc_id]
+        request = exchange.request
+        binding = self.bindings.get(request.initiator.tsap)
+        if binding is None:
+            return True
+        if tpdu.accepted:
+            binding.deliver(
+                kind.confirm(**_params(request), contract=tpdu.contract)
+            )
+        else:
+            binding.deliver(
+                TDisconnectIndication(
+                    initiator=request.initiator, vc_id=request.vc_id,
+                    reason=tpdu.reason,
+                )
+            )
+        return True
+
+    def _on_remote_outcome(self, tpdu: RemoteOutcomeTPDU, sender: str) -> None:
+        """A T-Connect outcome, or the source's notice that a VC it
+        confirmed to this initiator was released."""
+        vc_id = tpdu.vc_id
+        if self._on_outcome(CONNECT, tpdu, sender):
+            if tpdu.accepted:
+                # Kept until the source reports the VC released, so
+                # that this initiator can release it (section 4.1.1).
+                self._vc_records[vc_id] = _VCRecord(
+                    tpdu.request, tpdu.contract, None
+                )
+            return
+        record = self._vc_records.get(vc_id)
+        if tpdu.accepted:
+            if record is None:
+                # Accepted after this initiator gave up: ask the source
+                # to release it (section 4.1.1).
+                self._send_control(
+                    sender,
+                    RemoteDisconnectTPDU(
+                        request=TDisconnectRequest(
+                            initiator=tpdu.request.initiator, vc_id=vc_id
+                        )
+                    ),
+                )
+            return
+        if record is None or vc_id in self.send_vcs:
+            return
+        del self._vc_records[vc_id]
+        binding = self.bindings.get(record.request.initiator.tsap)
+        if binding is not None:
+            binding.deliver(
+                TDisconnectIndication(
+                    initiator=record.request.initiator, vc_id=vc_id,
+                    reason=tpdu.reason,
+                )
+            )
+
+    # -- T-Connect's own steps (the CONNECT kind) ------------------------
+
+    def _connect_offer(
         self, request: TConnectRequest
     ) -> Tuple[Optional[QoSOffer], Optional[Reservation], str]:
-        """Work out what the network can provide toward the destination."""
+        """Work out, and reserve, what the network can provide toward
+        the destination."""
         qos = request.qos
         try:
             links = self.network.links_on_route(request.src.node, request.dst.node)
@@ -480,68 +665,49 @@ class TransportEntity:
                 )
             except AdmissionError:
                 return None, None, REASON_REJECTED_BY_NETWORK
-        osdu_bits = (qos.max_osdu_bytes + CONTROL_TPDU_BYTES) * 8
-        delay = sum(link.prop_delay for link in links) + sum(
-            osdu_bits / link.bandwidth_bps for link in links
-        )
-        jitter = sum(link.jitter.bound() for link in links)
-        per = 1.0
-        ber_ok = 1.0
-        for link in links:
-            per *= 1.0 - link.loss.expected_loss()
-            ber_ok *= 1.0 - link.ber
-        per = 1.0 - per
-        ber = 1.0 - ber_ok
-        if request.class_of_service.error_correction:
-            # One bounded-time recovery round: residual errors need two
-            # consecutive failures.
-            per = per * per
-            ber = ber * ber
-        offer = QoSOffer(
-            throughput_bps=offered_bps,
-            delay_s=delay,
-            jitter_s=jitter,
-            packet_error_rate=per,
-            bit_error_rate=ber,
-        )
+        offer = _route_offer(links, qos, request.class_of_service, offered_bps)
         return offer, reservation, ""
 
-    def _source_connect_failed(
-        self, request: TConnectRequest, remote_initiator: bool, reason: str
-    ) -> None:
-        indication = TDisconnectIndication(
-            initiator=request.initiator, vc_id=request.vc_id, reason=reason
-        )
-        binding = self.bindings.get(request.src.tsap)
-        if binding is not None:
-            binding.deliver(indication)
-        if remote_initiator:
-            self._send_control(
-                request.initiator.node,
-                RemoteOutcomeTPDU(
-                    vc_id=request.vc_id,
-                    accepted=False,
-                    reason=reason,
-                    request=request,
-                ),
+    def _admit_connect_at_source(self, request: TConnectRequest):
+        send_vc = self.send_vcs.get(request.vc_id)
+        if send_vc is not None:
+            # The outcome was lost: repeat it.
+            return RemoteOutcomeTPDU(
+                vc_id=request.vc_id, accepted=True,
+                contract=send_vc.contract, request=request,
             )
+        if request.src.tsap not in self.bindings:
+            return RemoteOutcomeTPDU(
+                vc_id=request.vc_id, accepted=False,
+                reason=REASON_NO_SUCH_TSAP, request=request,
+            )
+        return None
 
-    def _on_connect_confirm(self, tpdu: ConnectConfirmTPDU) -> None:
-        pending = self._src_pending.pop(tpdu.vc_id, None)
-        if pending is None:
-            return
-        if pending.span is not None:
-            pending.span.end(outcome="confirmed")
-        request = pending.request
-        contract = tpdu.contract
-        if pending.reservation is not None and (
-            contract.throughput_bps < pending.reservation.rate_bps
+    def _admit_connect_at_sink(self, request: TConnectRequest):
+        recv_vc = self.recv_vcs.get(request.vc_id)
+        if recv_vc is not None:
+            # The CC was lost: repeat it.
+            return ConnectConfirmTPDU(
+                vc_id=request.vc_id, contract=recv_vc.contract
+            )
+        if request.dst.tsap not in self.bindings:
+            return ConnectRejectTPDU(
+                vc_id=request.vc_id, reason=REASON_NO_SUCH_TSAP
+            )
+        return None
+
+    def _commit_connect_at_source(
+        self, exchange: _Exchange, contract: QoSContract
+    ) -> None:
+        request, reservation = exchange.request, exchange.reservation
+        if reservation is not None and (
+            contract.throughput_bps < reservation.rate_bps
         ):
-            self.reservations.modify(pending.reservation, contract.throughput_bps)
+            self.reservations.modify(reservation, contract.throughput_bps)
         send_vc = SendVC(
             self.sim,
             self.network.send,
-            vc_id=tpdu.vc_id,
+            vc_id=request.vc_id,
             local=request.src,
             remote=request.dst,
             contract=contract,
@@ -550,103 +716,23 @@ class TransportEntity:
             buffer_osdus=contract.buffer_osdus,
             initial_credits=contract.buffer_osdus,
         )
-        self.send_vcs[tpdu.vc_id] = send_vc
-        self._vc_records[tpdu.vc_id] = _VCRecord(
-            request, contract, pending.reservation
+        self.send_vcs[request.vc_id] = send_vc
+        self._vc_records[request.vc_id] = _VCRecord(
+            request, contract, reservation
         )
         binding = self.bindings.get(request.src.tsap)
         if binding is not None:
-            binding.endpoints[tpdu.vc_id] = VCEndpoint(self, send_vc, "send")
-            binding.deliver(
-                TConnectConfirm(**_connect_params(request), contract=contract)
-            )
-        if pending.remote_initiator:
-            self._send_control(
-                request.initiator.node,
-                RemoteOutcomeTPDU(
-                    vc_id=tpdu.vc_id,
-                    accepted=True,
-                    contract=contract,
-                    request=request,
-                ),
-            )
+            binding.endpoints[request.vc_id] = VCEndpoint(self, send_vc, "send")
 
-    def _on_connect_reject(self, tpdu: ConnectRejectTPDU) -> None:
-        pending = self._src_pending.pop(tpdu.vc_id, None)
-        if pending is None:
-            return
-        if pending.span is not None:
-            pending.span.end(outcome="rejected", reason=tpdu.reason)
-        if pending.reservation is not None:
-            self.reservations.release(pending.reservation)
-        self._source_connect_failed(
-            pending.request, pending.remote_initiator, tpdu.reason
-        )
-
-    # ------------------------------------------------------------------
-    # Connect: destination side
-    # ------------------------------------------------------------------
-
-    def _on_connect_request(self, tpdu: ConnectRequestTPDU) -> None:
-        request = tpdu.request
-        if request.vc_id in self._dst_pending:
-            # Duplicate CR (retransmission): the indication is already
-            # with the application.
-            return
-        existing = self.recv_vcs.get(request.vc_id)
-        if existing is not None:
-            # The CC was lost: repeat it (idempotent).
-            self._send_control(
-                request.src.node,
-                ConnectConfirmTPDU(vc_id=request.vc_id,
-                                   contract=existing.contract),
-            )
-            return
-        binding = self.bindings.get(request.dst.tsap)
-        if binding is None:
-            self._send_control(
-                request.src.node,
-                ConnectRejectTPDU(vc_id=request.vc_id, reason=REASON_NO_SUCH_TSAP),
-            )
-            return
-        self._dst_pending[request.vc_id] = _DstPending(request, tpdu.offer)
-        binding.deliver(TConnectIndication(**_connect_params(request)))
-
-    def _accept_at_destination(self, response: TConnectResponse) -> None:
-        pending = self._dst_pending.pop(response.vc_id, None)
-        if pending is None:
-            raise TransportServiceError(
-                f"T-Connect.response for unknown VC {response.vc_id!r}"
-            )
-        request = pending.request
-        final_spec = request.qos.tightened(response.qos)
-        contract = final_spec.negotiate(pending.offer)
-        if contract is None:
-            self._send_control(
-                request.src.node,
-                ConnectRejectTPDU(
-                    vc_id=request.vc_id, reason=REASON_QOS_UNACCEPTABLE
-                ),
-            )
-            binding = self.bindings.get(request.dst.tsap)
-            if binding is not None:
-                binding.deliver(
-                    TDisconnectIndication(
-                        initiator=request.initiator,
-                        vc_id=request.vc_id,
-                        reason=REASON_QOS_UNACCEPTABLE,
-                    )
-                )
-            return
+    def _commit_connect_at_sink(
+        self, request: TConnectRequest, contract: QoSContract
+    ) -> bool:
         recv_vc = self._create_recv_vc(request, contract)
         self.recv_vcs[request.vc_id] = recv_vc
         binding = self.bindings.get(request.dst.tsap)
         if binding is not None:
             binding.endpoints[request.vc_id] = VCEndpoint(self, recv_vc, "recv")
-        self._send_control(
-            request.src.node,
-            ConnectConfirmTPDU(vc_id=request.vc_id, contract=contract),
-        )
+        return True
 
     def _create_recv_vc(
         self, request: TConnectRequest, contract: QoSContract
@@ -688,14 +774,93 @@ class TransportEntity:
             )
         return recv_vc
 
-    def _handle_connect_response(self, response: TConnectResponse) -> None:
-        if response.vc_id in self._src_accept_pending:
-            # The *source* application accepted a remote connect.
-            request = self._src_accept_pending.pop(response.vc_id)
-            merged = dc_replace(request, qos=request.qos.tightened(response.qos))
-            self._begin_source_connect(merged, remote_initiator=True)
+    # -- T-Renegotiate's own steps (the RENEGOTIATE kind) ----------------
+
+    def _renegotiate_offer(
+        self, request: TRenegotiateRequest
+    ) -> Tuple[Optional[QoSOffer], Optional[Reservation], str]:
+        """What the route can provide, counting the VC's own
+        reservation as available."""
+        record = self._vc_records.get(request.vc_id)
+        if record is None or request.vc_id not in self.send_vcs:
+            return None, None, REASON_NO_SUCH_VC
+        qos = request.new_qos
+        if record.reservation is not None:
+            headroom = self.reservations.route_available_bps(
+                request.src.node, request.dst.node
+            )
+            available = headroom + record.reservation.rate_bps
         else:
-            self._accept_at_destination(response)
+            available = qos.throughput.preferred
+        offered_bps = min(qos.throughput.preferred, available)
+        if offered_bps < qos.throughput.acceptable:
+            return None, None, REASON_RENEGOTIATION_REFUSED
+        links = self.network.links_on_route(request.src.node, request.dst.node)
+        offer = _route_offer(
+            links, qos, record.request.class_of_service, offered_bps
+        )
+        return offer, None, ""
+
+    def _admit_renegotiate_at_source(self, request: TRenegotiateRequest):
+        if request.src.tsap not in self.bindings or (
+            request.vc_id not in self.send_vcs
+        ):
+            return RemoteRenegotiateOutcomeTPDU(
+                vc_id=request.vc_id, accepted=False,
+                reason=REASON_NO_SUCH_VC, request=request,
+            )
+        return None
+
+    def _admit_renegotiate_at_sink(self, request: TRenegotiateRequest):
+        if request.vc_id not in self.recv_vcs:
+            return RenegotiateRejectTPDU(
+                vc_id=request.vc_id, reason=REASON_NO_SUCH_VC
+            )
+        if request.dst.tsap not in self.bindings:
+            return RenegotiateRejectTPDU(
+                vc_id=request.vc_id, reason=REASON_NO_SUCH_TSAP
+            )
+        return None
+
+    def _commit_renegotiate_at_source(
+        self, exchange: _Exchange, contract: QoSContract
+    ) -> None:
+        vc_id = exchange.request.vc_id
+        record = self._vc_records[vc_id]
+        auditor = self.sim.auditor
+        if auditor is not None:
+            auditor.record_renegotiation(
+                vc_id, "confirmed",
+                from_bps=record.contract.throughput_bps,
+                to_bps=contract.throughput_bps,
+            )
+        if record.reservation is not None:
+            self.reservations.modify(record.reservation, contract.throughput_bps)
+        send_vc = self.send_vcs[vc_id]
+        send_vc.contract = contract
+        send_vc.set_rate(contract.throughput_bps)
+        record.contract = contract
+
+    def _commit_renegotiate_at_sink(
+        self, request: TRenegotiateRequest, contract: QoSContract
+    ) -> bool:
+        recv_vc = self.recv_vcs.get(request.vc_id)
+        if recv_vc is None:
+            return False  # released while its user was deciding
+        # Buffers and protocol state are retained across the change
+        # (section 3.3: state maintenance minimises resume delay).
+        recv_vc.contract = contract
+        return True
+
+    def _renegotiate_failed(
+        self, request: TRenegotiateRequest, reason: str
+    ) -> None:
+        # "The existing VC is not torn down; the T-Disconnect.indication
+        # simply indicates that the new service level requested can not
+        # be supported" (section 4.1.3).
+        auditor = self.sim.auditor
+        if auditor is not None:
+            auditor.record_renegotiation(request.vc_id, "failed", reason=reason)
 
     # ------------------------------------------------------------------
     # Disconnect
@@ -703,36 +868,25 @@ class TransportEntity:
 
     def _handle_disconnect_request(self, request: TDisconnectRequest) -> None:
         vc_id = request.vc_id
-        if vc_id in self._src_accept_pending:
-            # Source application refusing a remote connect.
-            pending_req = self._src_accept_pending.pop(vc_id)
+        pending = self._await_src_user.pop(vc_id, None)
+        if pending is not None:
+            # The source's user refuses a relayed request.
             self._send_control(
-                pending_req.initiator.node,
-                RemoteOutcomeTPDU(
-                    vc_id=vc_id,
-                    accepted=False,
-                    reason=REASON_REJECTED_BY_SOURCE,
-                    request=pending_req,
+                pending.request.initiator.node,
+                pending.kind.outcome_tpdu(
+                    vc_id=vc_id, accepted=False,
+                    reason=pending.kind.refused_by_source,
+                    request=pending.request,
                 ),
             )
             return
-        if vc_id in self._dst_pending:
-            # Destination application refusing an indicated connect.
-            pending = self._dst_pending.pop(vc_id)
+        pending = self._await_sink_user.pop(vc_id, None)
+        if pending is not None:
+            # The sink's user refuses an indicated request.
             self._send_control(
                 pending.request.src.node,
-                ConnectRejectTPDU(
-                    vc_id=vc_id, reason=REASON_REJECTED_BY_DESTINATION
-                ),
-            )
-            return
-        if vc_id in self._reneg_dst_pending:
-            # Destination refusing a renegotiation (section 4.1.3).
-            reneg, _offer = self._reneg_dst_pending.pop(vc_id)
-            self._send_control(
-                reneg.src.node,
-                RenegotiateRejectTPDU(
-                    vc_id=vc_id, reason=REASON_RENEGOTIATION_REFUSED
+                pending.kind.reject_tpdu(
+                    vc_id=vc_id, reason=pending.kind.refused_by_sink
                 ),
             )
             return
@@ -740,14 +894,13 @@ class TransportEntity:
             self._release_local_vc(vc_id, request.initiator, REASON_USER_RELEASE,
                                    notify_peer=True)
             return
-        # Remote release: the initiator does not hold the VC locally.
-        record = self._remote_pending.get(vc_id)
+        # Remote release: relay toward the source recorded at connect time.
+        record = self._vc_records.get(vc_id)
         if record is not None:
             self._send_control(
-                record.src.node, RemoteDisconnectTPDU(request=request)
+                record.request.src.node, RemoteDisconnectTPDU(request=request)
             )
             return
-        # Fall back: relay toward the source recorded at connect time.
         raise TransportServiceError(
             f"T-Disconnect.request for unknown VC {vc_id!r} at {self.node_name}"
         )
@@ -766,7 +919,9 @@ class TransportEntity:
             ),
         )
 
-    def _on_remote_disconnect(self, tpdu: RemoteDisconnectTPDU) -> None:
+    def _on_remote_disconnect(
+        self, tpdu: RemoteDisconnectTPDU, sender: str
+    ) -> None:
         request = tpdu.request
         vc = self.send_vcs.get(request.vc_id) or self.recv_vcs.get(request.vc_id)
         if vc is None:
@@ -800,8 +955,8 @@ class TransportEntity:
             )
         vc.close()
         self._outage_states.pop(vc_id, None)
-        self._reneg_src_pending.pop(vc_id, None)
-        self._reneg_offers.pop(vc_id, None)
+        # A renegotiation in flight ends with the VC.
+        self._await_peer.pop(vc_id, None)
         record = self._vc_records.pop(vc_id, None)
         if record is not None and record.reservation is not None:
             self.reservations.release(record.reservation)
@@ -813,11 +968,11 @@ class TransportEntity:
                 vc.remote.node,
                 DisconnectTPDU(vc_id=vc_id, initiator=initiator, reason=reason),
             )
-        # Notify a distinct initiator (section 3.5: responses go to both
-        # initiator and source addresses).
+        # Notify a distinct initiator, whichever end released (section
+        # 3.5: responses go to both initiator and source addresses).
         if record is not None:
             req = record.request
-            if req.initiator != req.src and notify_peer:
+            if req.initiator != req.src:
                 self._send_control(
                     req.initiator.node,
                     RemoteOutcomeTPDU(
@@ -825,7 +980,7 @@ class TransportEntity:
                     ),
                 )
 
-    def _on_disconnect(self, tpdu: DisconnectTPDU) -> None:
+    def _on_disconnect(self, tpdu: DisconnectTPDU, sender: str) -> None:
         vc = self.send_vcs.get(tpdu.vc_id) or self.recv_vcs.get(tpdu.vc_id)
         if vc is None:
             return
@@ -836,259 +991,6 @@ class TransportEntity:
             binding.deliver(
                 TDisconnectIndication(
                     initiator=tpdu.initiator, vc_id=tpdu.vc_id, reason=tpdu.reason
-                )
-            )
-
-    # ------------------------------------------------------------------
-    # Renegotiation (Table 3)
-    # ------------------------------------------------------------------
-
-    def _handle_renegotiate_request(self, request: TRenegotiateRequest) -> None:
-        if request.initiator == request.src:
-            self._begin_source_renegotiate(request, remote_initiator=False)
-        elif request.initiator.node == self.node_name:
-            self._reneg_remote_pending[request.vc_id] = request
-            self._send_control(
-                request.src.node, RemoteRenegotiateTPDU(request=request)
-            )
-        else:
-            raise TransportServiceError(
-                "T-Renegotiate.request must be issued at the initiator"
-            )
-
-    def _on_remote_renegotiate(self, tpdu: RemoteRenegotiateTPDU) -> None:
-        request = tpdu.request
-        binding = self.bindings.get(request.src.tsap)
-        if binding is None or request.vc_id not in self.send_vcs:
-            self._send_control(
-                request.initiator.node,
-                RemoteRenegotiateOutcomeTPDU(
-                    vc_id=request.vc_id,
-                    accepted=False,
-                    reason=REASON_NO_SUCH_VC,
-                    request=request,
-                ),
-            )
-            return
-        self._reneg_src_accept[request.vc_id] = request
-        binding.deliver(TRenegotiateIndication(**_reneg_params(request)))
-
-    def _begin_source_renegotiate(
-        self, request: TRenegotiateRequest, remote_initiator: bool
-    ) -> None:
-        send_vc = self.send_vcs.get(request.vc_id)
-        record = self._vc_records.get(request.vc_id)
-        if send_vc is None or record is None:
-            self._renegotiate_failed(request, remote_initiator, REASON_NO_SUCH_VC)
-            return
-        qos = request.new_qos
-        if record.reservation is not None:
-            headroom = self.reservations.route_available_bps(
-                request.src.node, request.dst.node
-            )
-            available = headroom + record.reservation.rate_bps
-        else:
-            available = qos.throughput.preferred
-        offered_bps = min(qos.throughput.preferred, available)
-        if offered_bps < qos.throughput.acceptable:
-            self._renegotiate_failed(
-                request, remote_initiator, REASON_RENEGOTIATION_REFUSED
-            )
-            return
-        base = self._route_offer_estimates(request.src.node, request.dst.node,
-                                           qos, record.request.class_of_service)
-        offer = QoSOffer(
-            throughput_bps=offered_bps,
-            delay_s=base[0],
-            jitter_s=base[1],
-            packet_error_rate=base[2],
-            bit_error_rate=base[3],
-        )
-        self._reneg_src_pending[request.vc_id] = request
-        self._reneg_offers[request.vc_id] = offer
-        if remote_initiator:
-            self._reneg_remote_pending[request.vc_id] = request
-        self._send_control(
-            request.dst.node, RenegotiateRequestTPDU(request=request, offer=offer)
-        )
-
-    def _route_offer_estimates(
-        self, src: str, dst: str, qos: QoSSpec, cos: ClassOfService
-    ) -> Tuple[float, float, float, float]:
-        links = self.network.links_on_route(src, dst)
-        osdu_bits = (qos.max_osdu_bytes + CONTROL_TPDU_BYTES) * 8
-        delay = sum(link.prop_delay for link in links) + sum(
-            osdu_bits / link.bandwidth_bps for link in links
-        )
-        jitter = sum(link.jitter.bound() for link in links)
-        per_ok = 1.0
-        ber_ok = 1.0
-        for link in links:
-            per_ok *= 1.0 - link.loss.expected_loss()
-            ber_ok *= 1.0 - link.ber
-        per = 1.0 - per_ok
-        ber = 1.0 - ber_ok
-        if cos.error_correction:
-            per *= per
-            ber *= ber
-        return delay, jitter, per, ber
-
-    def _renegotiate_failed(
-        self, request: TRenegotiateRequest, remote_initiator: bool, reason: str
-    ) -> None:
-        # "The existing VC is not torn down; the T-Disconnect.indication
-        # simply indicates that the new service level requested can not
-        # be supported" (section 4.1.3).
-        auditor = self.sim.auditor
-        if auditor is not None:
-            auditor.record_renegotiation(request.vc_id, "failed", reason=reason)
-        binding = self.bindings.get(request.src.tsap)
-        if binding is not None:
-            binding.deliver(
-                TDisconnectIndication(
-                    initiator=request.initiator, vc_id=request.vc_id, reason=reason
-                )
-            )
-        if remote_initiator:
-            self._send_control(
-                request.initiator.node,
-                RemoteRenegotiateOutcomeTPDU(
-                    vc_id=request.vc_id,
-                    accepted=False,
-                    reason=reason,
-                    request=request,
-                ),
-            )
-
-    def _on_renegotiate_request(self, tpdu: RenegotiateRequestTPDU) -> None:
-        request = tpdu.request
-        if request.vc_id in self._reneg_dst_pending:
-            # Duplicate RR (source-side retransmission): the indication
-            # is already with the application.
-            return
-        recv_vc = self.recv_vcs.get(request.vc_id)
-        if recv_vc is None:
-            self._send_control(
-                request.src.node,
-                RenegotiateRejectTPDU(
-                    vc_id=request.vc_id, reason=REASON_NO_SUCH_VC
-                ),
-            )
-            return
-        binding = self.bindings.get(recv_vc.local.tsap)
-        if binding is None:
-            self._send_control(
-                request.src.node,
-                RenegotiateRejectTPDU(
-                    vc_id=request.vc_id, reason=REASON_NO_SUCH_TSAP
-                ),
-            )
-            return
-        self._reneg_dst_pending[request.vc_id] = (request, tpdu.offer)
-        binding.deliver(TRenegotiateIndication(**_reneg_params(request)))
-
-    def _handle_renegotiate_response(self, response: TRenegotiateResponse) -> None:
-        if response.vc_id in self._reneg_src_accept:
-            request = self._reneg_src_accept.pop(response.vc_id)
-            merged = dc_replace(
-                request, new_qos=request.new_qos.tightened(response.new_qos)
-            )
-            self._begin_source_renegotiate(merged, remote_initiator=True)
-            return
-        pending = self._reneg_dst_pending.pop(response.vc_id, None)
-        if pending is None:
-            raise TransportServiceError(
-                f"T-Renegotiate.response for unknown VC {response.vc_id!r}"
-            )
-        request, offer = pending
-        recv_vc = self.recv_vcs.get(response.vc_id)
-        final_spec = request.new_qos.tightened(response.new_qos)
-        contract = final_spec.negotiate(offer)
-        if contract is None or recv_vc is None:
-            self._send_control(
-                request.src.node,
-                RenegotiateRejectTPDU(
-                    vc_id=request.vc_id, reason=REASON_QOS_UNACCEPTABLE
-                ),
-            )
-            return
-        # Buffers and protocol state are retained across the change
-        # (section 3.3: state maintenance minimises resume delay).
-        recv_vc.contract = contract
-        self._send_control(
-            request.src.node,
-            RenegotiateConfirmTPDU(vc_id=request.vc_id, contract=contract),
-        )
-
-    def _on_renegotiate_confirm(self, tpdu: RenegotiateConfirmTPDU) -> None:
-        request = self._reneg_src_pending.pop(tpdu.vc_id, None)
-        self._reneg_offers.pop(tpdu.vc_id, None)
-        if request is None:
-            return
-        send_vc = self.send_vcs.get(tpdu.vc_id)
-        record = self._vc_records.get(tpdu.vc_id)
-        if send_vc is None or record is None:
-            return
-        contract = tpdu.contract
-        auditor = self.sim.auditor
-        if auditor is not None:
-            auditor.record_renegotiation(
-                tpdu.vc_id, "confirmed",
-                from_bps=record.contract.throughput_bps,
-                to_bps=contract.throughput_bps,
-            )
-        if record.reservation is not None:
-            self.reservations.modify(record.reservation, contract.throughput_bps)
-        send_vc.contract = contract
-        send_vc.set_rate(contract.throughput_bps)
-        record.contract = contract
-        binding = self.bindings.get(request.src.tsap)
-        if binding is not None:
-            binding.deliver(
-                TRenegotiateConfirm(**_reneg_params(request), contract=contract)
-            )
-        remote = self._reneg_remote_pending.pop(tpdu.vc_id, None)
-        if remote is not None and remote.initiator != remote.src:
-            self._send_control(
-                remote.initiator.node,
-                RemoteRenegotiateOutcomeTPDU(
-                    vc_id=tpdu.vc_id,
-                    accepted=True,
-                    contract=contract,
-                    request=remote,
-                ),
-            )
-
-    def _on_renegotiate_reject(self, tpdu: RenegotiateRejectTPDU) -> None:
-        request = self._reneg_src_pending.pop(tpdu.vc_id, None)
-        self._reneg_offers.pop(tpdu.vc_id, None)
-        if request is None:
-            return
-        remote = self._reneg_remote_pending.pop(tpdu.vc_id, None)
-        self._renegotiate_failed(
-            request, remote is not None and remote.initiator != remote.src,
-            tpdu.reason,
-        )
-
-    def _on_remote_renegotiate_outcome(
-        self, tpdu: RemoteRenegotiateOutcomeTPDU
-    ) -> None:
-        request = self._reneg_remote_pending.pop(tpdu.vc_id, None) or tpdu.request
-        if request is None:
-            return
-        binding = self.bindings.get(request.initiator.tsap)
-        if binding is None:
-            return
-        if tpdu.accepted:
-            binding.deliver(
-                TRenegotiateConfirm(**_reneg_params(request), contract=tpdu.contract)
-            )
-        else:
-            binding.deliver(
-                TDisconnectIndication(
-                    initiator=request.initiator,
-                    vc_id=tpdu.vc_id,
-                    reason=tpdu.reason,
                 )
             )
 
@@ -1148,7 +1050,7 @@ class TransportEntity:
                 QoSReportTPDU(vc_id=request.vc_id, indication=indication),
             )
 
-    def _on_qos_report(self, tpdu: QoSReportTPDU) -> None:
+    def _on_qos_report(self, tpdu: QoSReportTPDU, sender: str) -> None:
         indication = tpdu.indication
         if indication.initiator.node != self.node_name:
             return
@@ -1234,11 +1136,10 @@ class TransportEntity:
     def _maybe_degrade(self, indication: TQoSIndication) -> None:
         """Initiator-side ladder: step the contract down one rung.
 
-        Only runs where the source VC record lives (conventional
-        connects: initiator == source) and only one renegotiation is in
-        flight per VC; repeated indications during an outage are
-        absorbed by the pending check while the retry loop delivers the
-        request.
+        Only runs where the VC's source lives (conventional connects:
+        initiator == source) and only one renegotiation is in flight per
+        VC; repeated indications during an outage are absorbed by the
+        pending check while retransmission delivers the request.
         """
         cfg = self._degradation
         if cfg is None:
@@ -1250,11 +1151,9 @@ class TransportEntity:
         )
         if outage_flavored and vc_id in self.send_vcs:
             self.begin_outage_probe(vc_id)
-        if vc_id in self._reneg_src_pending:
+        if vc_id not in self.send_vcs or vc_id in self._await_peer:
             return
-        record = self._vc_records.get(vc_id)
-        if record is None:
-            return
+        record = self._vc_records[vc_id]
         if not any(v.parameter == "throughput" for v in indication.violations):
             return
         current = record.contract.throughput_bps
@@ -1276,12 +1175,6 @@ class TransportEntity:
                 vc_id=vc_id,
             )
         )
-        # The RR TPDU may be crossing the very fault that triggered the
-        # ladder: retransmit until the exchange concludes.
-        if vc_id in self._reneg_src_pending:
-            self.sim.spawn(
-                self._reneg_retry_loop(vc_id), name=f"rr-retry:{vc_id}"
-            )
 
     def begin_outage_probe(self, vc_id: str) -> None:
         """Start (at most one) credit-probe loop for an outaged send VC.
@@ -1323,31 +1216,6 @@ class TransportEntity:
                     return  # credit grants resumed: the path recovered
         finally:
             self._outage_probes.discard(vc_id)
-
-    #: Renegotiate-request retransmission schedule (degradation only).
-    RENEG_RETRY_INTERVAL = 0.5
-    RENEG_RETRY_LIMIT = 8
-
-    def _reneg_retry_loop(self, vc_id: str):
-        """Retransmit a pending RR until confirmed, rejected or exhausted."""
-        retry = Timer(self.sim)
-        for _attempt in range(self.RENEG_RETRY_LIMIT):
-            yield retry.after(self.RENEG_RETRY_INTERVAL)
-            request = self._reneg_src_pending.get(vc_id)
-            offer = self._reneg_offers.get(vc_id)
-            if request is None or offer is None:
-                return  # concluded (confirm or reject arrived)
-            self._send_control(
-                request.dst.node,
-                RenegotiateRequestTPDU(request=request, offer=offer),
-            )
-        request = self._reneg_src_pending.pop(vc_id, None)
-        self._reneg_offers.pop(vc_id, None)
-        if request is not None:
-            # Section 4.1.3: a failed renegotiation never tears down
-            # the existing VC; the user just learns the new level is
-            # unsupported.
-            self._renegotiate_failed(request, False, REASON_REJECTED_BY_NETWORK)
 
     # ------------------------------------------------------------------
     # Packet dispatch
@@ -1394,7 +1262,7 @@ class TransportEntity:
             return
         handler = self._control_dispatch.get(type(payload))
         if handler is not None:
-            handler(payload)
+            handler(payload, packet.src)
         if prof is not None:
             prof.add("transport.deliver", _t0, prof.clock())
 
@@ -1441,23 +1309,134 @@ class TransportEntity:
         return None
 
 
-def _connect_params(request: TConnectRequest) -> Dict:
-    return {
-        "initiator": request.initiator,
-        "src": request.src,
-        "dst": request.dst,
-        "protocol": request.protocol,
-        "class_of_service": request.class_of_service,
-        "qos": request.qos,
-        "vc_id": request.vc_id,
-    }
+def _params(request) -> Dict:
+    """A request's parameter list, which its indication and confirm repeat."""
+    return {f.name: getattr(request, f.name) for f in fields(request)}
 
 
-def _reneg_params(request: TRenegotiateRequest) -> Dict:
-    return {
-        "initiator": request.initiator,
-        "src": request.src,
-        "dst": request.dst,
-        "new_qos": request.new_qos,
-        "vc_id": request.vc_id,
-    }
+def _route_offer(
+    links: List, qos: QoSSpec, cos: ClassOfService, throughput_bps: float
+) -> QoSOffer:
+    """What a route offers at ``throughput_bps``: propagation plus
+    per-hop serialisation delay, summed jitter bounds, and composed
+    loss and bit-error estimates."""
+    osdu_bits = (qos.max_osdu_bytes + CONTROL_TPDU_BYTES) * 8
+    delay = sum(link.prop_delay for link in links) + sum(
+        osdu_bits / link.bandwidth_bps for link in links
+    )
+    jitter = sum(link.jitter.bound() for link in links)
+    per_ok = 1.0
+    ber_ok = 1.0
+    for link in links:
+        per_ok *= 1.0 - link.loss.expected_loss()
+        ber_ok *= 1.0 - link.ber
+    per = 1.0 - per_ok
+    ber = 1.0 - ber_ok
+    if cos.error_correction:
+        # One bounded-time recovery round: residual errors need two
+        # consecutive failures.
+        per *= per
+        ber *= ber
+    return QoSOffer(
+        throughput_bps=throughput_bps,
+        delay_s=delay,
+        jitter_s=jitter,
+        packet_error_rate=per,
+        bit_error_rate=ber,
+    )
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """What differs between T-Connect (Table 1) and T-Renegotiate
+    (Table 3); the rest of the confirmed-service exchange is shared.
+
+    The steps are :class:`TransportEntity` methods, called with the
+    entity first.
+    """
+
+    name: str
+    service: str
+    request_tpdu: type
+    confirm_tpdu: type
+    reject_tpdu: type
+    relay_tpdu: type
+    outcome_tpdu: type
+    indication: type
+    confirm: type
+    #: The request/response field holding the QoS tolerances.
+    qos_field: str
+    refused_by_source: str
+    refused_by_sink: str
+    retry_interval: float
+    retry_limit: int
+    #: Name of the source's retransmission process.
+    retry_name: str
+    #: (entity, request) -> (offer, reservation, reason); offer None
+    #: on failure.
+    offer: Callable
+    #: (entity, request) -> the TPDU answering a request that is not
+    #: indicated, or None to indicate it.
+    admit_at_source: Callable
+    admit_at_sink: Callable
+    #: (entity, exchange, contract): the source takes up the contract.
+    commit_at_source: Callable
+    #: (entity, request, contract) -> False when the sink cannot.
+    commit_at_sink: Callable
+    #: (entity, request, reason) when the source concludes a failure.
+    failed_at_source: Callable
+
+    def tightened(self, request, response) -> QoSSpec:
+        """The request's tolerances narrowed by a responder's."""
+        return getattr(request, self.qos_field).tightened(
+            getattr(response, self.qos_field)
+        )
+
+
+CONNECT = _Kind(
+    name="connect",
+    service="T-Connect",
+    request_tpdu=ConnectRequestTPDU,
+    confirm_tpdu=ConnectConfirmTPDU,
+    reject_tpdu=ConnectRejectTPDU,
+    relay_tpdu=RemoteConnectTPDU,
+    outcome_tpdu=RemoteOutcomeTPDU,
+    indication=TConnectIndication,
+    confirm=TConnectConfirm,
+    qos_field="qos",
+    refused_by_source=REASON_REJECTED_BY_SOURCE,
+    refused_by_sink=REASON_REJECTED_BY_DESTINATION,
+    retry_interval=0.5,
+    retry_limit=5,
+    retry_name="cr-retry",
+    offer=TransportEntity._connect_offer,
+    admit_at_source=TransportEntity._admit_connect_at_source,
+    admit_at_sink=TransportEntity._admit_connect_at_sink,
+    commit_at_source=TransportEntity._commit_connect_at_source,
+    commit_at_sink=TransportEntity._commit_connect_at_sink,
+    failed_at_source=lambda entity, request, reason: None,
+)
+
+RENEGOTIATE = _Kind(
+    name="renegotiate",
+    service="T-Renegotiate",
+    request_tpdu=RenegotiateRequestTPDU,
+    confirm_tpdu=RenegotiateConfirmTPDU,
+    reject_tpdu=RenegotiateRejectTPDU,
+    relay_tpdu=RemoteRenegotiateTPDU,
+    outcome_tpdu=RemoteRenegotiateOutcomeTPDU,
+    indication=TRenegotiateIndication,
+    confirm=TRenegotiateConfirm,
+    qos_field="new_qos",
+    refused_by_source=REASON_RENEGOTIATION_REFUSED,
+    refused_by_sink=REASON_RENEGOTIATION_REFUSED,
+    retry_interval=0.5,
+    retry_limit=8,
+    retry_name="rr-retry",
+    offer=TransportEntity._renegotiate_offer,
+    admit_at_source=TransportEntity._admit_renegotiate_at_source,
+    admit_at_sink=TransportEntity._admit_renegotiate_at_sink,
+    commit_at_source=TransportEntity._commit_renegotiate_at_source,
+    commit_at_sink=TransportEntity._commit_renegotiate_at_sink,
+    failed_at_source=TransportEntity._renegotiate_failed,
+)

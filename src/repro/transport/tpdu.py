@@ -24,7 +24,7 @@ from repro.transport.primitives import (
     TDisconnectRequest,
     TRenegotiateRequest,
 )
-from repro.transport.qos import QoSContract, QoSOffer, QoSSpec
+from repro.transport.qos import QoSContract, QoSOffer
 
 #: Wire overhead of a data TPDU header (bytes): vc-id, sequence,
 #: timestamps, checksum.
@@ -65,7 +65,6 @@ class ConnectConfirmTPDU(TPDU):
 
     vc_id: str = ""
     contract: QoSContract = None  # type: ignore[assignment]
-    responder_qos: Optional[QoSSpec] = None
 
 
 @dataclass(slots=True)

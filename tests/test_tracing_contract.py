@@ -103,3 +103,43 @@ def test_film_workload_reads_every_attribute_it_names(monkeypatch, tmp_path):
         assert send_vc.buffer.capacity > 0 and recv_vc.buffer.capacity > 0
         assert send_vc.blocked_time("protocol") >= 0.0
         assert group.sources[name].generated >= group.sinks[name].presented > 0
+
+
+# -- what perf/workloads/lossy_mixed.py reads off a live stack ----------------
+
+
+def test_lossy_mixed_workload_reads_every_attribute_it_names(monkeypatch, tmp_path):
+    """One short ``lossy_mixed`` rep on two VCs: ``lossy_mixed.run``
+    connects through the transport service and reads the entities'
+    bindings, VC tables, endpoints and counters by name, so a rename
+    fails here rather than in a benchmark run."""
+    from perf.harness import Phases
+    from perf.workloads import lossy_mixed
+
+    seen = {}
+    collect = lossy_mixed._collect
+
+    def recording_collect(stack, flows, *args):
+        seen["stack"], seen["flows"] = stack, flows
+        return collect(stack, flows, *args)
+
+    monkeypatch.setattr(lossy_mixed, "VCS", 2)
+    monkeypatch.setattr(lossy_mixed, "PLAY_SECONDS", 2)
+    monkeypatch.setattr(lossy_mixed, "_collect", recording_collect)
+    stats = lossy_mixed.run(1, Phases(), str(tmp_path))
+    assert stats.problems == []
+    assert stats.units > 0
+
+    stack = seen["stack"]
+    for flow in seen["flows"]:
+        source = stack.entities[f"s{flow.index}"]
+        sink = stack.entities[f"d{flow.index}"]
+        vc_id = flow.send.vc_id
+        assert source.bindings[1].address.node == f"s{flow.index}"
+        # The rep's closing disconnect released both ends.
+        assert vc_id not in source.send_vcs and vc_id not in sink.recv_vcs
+        assert sink.endpoint_for(vc_id) is None
+        send_vc, recv_vc = flow.send.vc, flow.recv.vc
+        assert recv_vc.lost_count >= 0
+        assert send_vc.sent_count > 0 and send_vc.retransmit_count >= 0
+        assert send_vc.buffer.capacity > 0 and recv_vc.buffer.capacity > 0

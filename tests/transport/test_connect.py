@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.scheduler import Timer
 from repro.transport.primitives import (
     REASON_NO_SUCH_TSAP,
     REASON_QOS_UNACCEPTABLE,
@@ -129,6 +130,44 @@ class TestConventionalConnect:
         outcome = issue_connect(stack, binding, request)
         assert isinstance(outcome, TDisconnectIndication)
         assert outcome.reason == REASON_REJECTED_BY_DESTINATION
+
+    def test_late_acceptance_leaves_no_half_open_vc(self, stack):
+        """The sink's user accepts after the source has spent its CR
+        retries and told its user the call failed: the source answers
+        the CC with a release, so the sink does not hold the VC."""
+        src = stack.addr("alpha", 1)
+        dst = stack.addr("beta", 1)
+        binding = stack.entity("alpha").bind(1)
+        entity_b = stack.entity("beta")
+        b_binding = entity_b.bind(1)
+        b_got = []
+
+        def late_acceptor():
+            while True:
+                primitive = yield b_binding.next_primitive()
+                b_got.append(primitive)
+                if isinstance(primitive, TConnectIndication):
+                    yield Timer(stack.sim).after(4.0)
+                    entity_b.request(
+                        TConnectResponse(
+                            initiator=primitive.initiator, src=primitive.src,
+                            dst=primitive.dst, protocol=primitive.protocol,
+                            class_of_service=primitive.class_of_service,
+                            qos=primitive.qos, vc_id=primitive.vc_id,
+                        )
+                    )
+
+        stack.sim.spawn(late_acceptor())
+        request = stack.connect_request(src, src, dst)
+        outcome = issue_connect(stack, binding, request)
+        assert isinstance(outcome, TDisconnectIndication)
+        assert outcome.reason == REASON_REJECTED_BY_NETWORK
+        assert request.vc_id not in stack.entity("alpha").send_vcs
+        assert request.vc_id not in entity_b.recv_vcs
+        assert entity_b.endpoint_for(request.vc_id) is None
+        assert [
+            p.reason for p in b_got if isinstance(p, TDisconnectIndication)
+        ] == [REASON_REJECTED_BY_NETWORK]
 
     def test_admission_control_rejects_excess_throughput(self, stack):
         src = stack.addr("alpha", 1)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.transport.primitives import (
+    REASON_QOS_UNACCEPTABLE,
     REASON_RENEGOTIATION_REFUSED,
     TConnectConfirm,
     TDisconnectIndication,
@@ -163,6 +164,64 @@ class TestRenegotiation:
         assert isinstance(outcome, TDisconnectIndication)
         assert outcome.reason == REASON_RENEGOTIATION_REFUSED
         assert request.vc_id in stack.entity("alpha").send_vcs
+
+    def test_unmeetable_sink_tightening_is_indicated_at_both_ends(self, stack):
+        """A sink whose tightened response the offer cannot meet gets a
+        T-Disconnect.indication, as for a connect; the VC stays up."""
+        from repro.transport.primitives import (
+            TConnectIndication,
+            TConnectResponse,
+        )
+
+        src = stack.addr("alpha", 1)
+        dst = stack.addr("beta", 1)
+        binding = stack.entity("alpha").bind(1)
+        entity_b = stack.entity("beta")
+        dst_binding = entity_b.bind(1)
+        sink_got = []
+
+        def tightening_sink():
+            while True:
+                primitive = yield dst_binding.next_primitive()
+                sink_got.append(primitive)
+                if isinstance(primitive, TConnectIndication):
+                    entity_b.request(
+                        TConnectResponse(
+                            initiator=primitive.initiator, src=primitive.src,
+                            dst=primitive.dst, protocol=primitive.protocol,
+                            class_of_service=primitive.class_of_service,
+                            qos=primitive.qos, vc_id=primitive.vc_id,
+                        )
+                    )
+                elif isinstance(primitive, TRenegotiateIndication):
+                    entity_b.request(
+                        TRenegotiateResponse(
+                            initiator=primitive.initiator, src=primitive.src,
+                            dst=primitive.dst, vc_id=primitive.vc_id,
+                            new_qos=QoSSpec.simple(
+                                50e6, slack=1.1, max_osdu_bytes=1000
+                            ),
+                        )
+                    )
+
+        stack.sim.spawn(tightening_sink())
+        request = stack.connect_request(src, src, dst)
+        confirm = issue_connect(stack, binding, request)
+        assert isinstance(confirm, TConnectConfirm)
+        reneg = TRenegotiateRequest(
+            initiator=src, src=src, dst=dst,
+            new_qos=QoSSpec.simple(2e6, max_osdu_bytes=1000),
+            vc_id=request.vc_id,
+        )
+        outcome = issue_renegotiate(stack, binding, reneg)
+        assert isinstance(outcome, TDisconnectIndication)
+        assert outcome.reason == REASON_QOS_UNACCEPTABLE
+        assert [
+            p.reason for p in sink_got if isinstance(p, TDisconnectIndication)
+        ] == [REASON_QOS_UNACCEPTABLE]
+        recv_vc = entity_b.recv_vcs[request.vc_id]
+        send_vc = stack.entity("alpha").send_vcs[request.vc_id]
+        assert recv_vc.contract == send_vc.contract == confirm.contract
 
     def test_protocol_state_sustained_across_renegotiation(self, stack):
         """Section 3.3/4.1.3: sequence numbering continues."""
