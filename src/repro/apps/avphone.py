@@ -108,10 +108,14 @@ class AVPhoneCall:
         """
         delays = []
         for leg in self.legs:
+            log = leg.sink.records
+            # A NaN ``created_at`` marks a unit without a write time.
             samples = [
-                record.delivered_at - record.created_at
-                for record in leg.sink.records
-                if record.created_at is not None
+                delivered_at - created_at
+                for delivered_at, created_at in zip(
+                    log.delivered_at, log.created_at
+                )
+                if created_at == created_at
             ]
             if samples:
                 delays.append(sum(samples) / len(samples))

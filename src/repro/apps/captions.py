@@ -132,8 +132,11 @@ class CaptionedPlayout:
         """Worst observed caption-vs-video media-time misalignment."""
         if not self.video_sink.records or not self.caption_sink.records:
             return float("inf")
+        captions = self.caption_sink.records
         worst = 0.0
-        for record in self.caption_sink.records:
-            video_pos = self.video_sink.media_position_at(record.delivered_at)
-            worst = max(worst, abs(video_pos - record.media_time))
+        for delivered_at, media_time in zip(
+            captions.delivered_at, captions.media_time
+        ):
+            video_pos = self.video_sink.media_position_at(delivered_at)
+            worst = max(worst, abs(video_pos - media_time))
         return worst

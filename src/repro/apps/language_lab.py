@@ -13,6 +13,7 @@ skew across sinks on *different* machines.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Generator, List, Optional
 
 from repro.transport.addresses import TransportAddress
@@ -118,6 +119,7 @@ class LanguageLab:
         """Per-workstation time of first unit presented after ``t``."""
         firsts = []
         for sink in self.sinks:
-            times = [r.delivered_at for r in sink.records if r.delivered_at >= t]
-            firsts.append(min(times) if times else float("inf"))
+            times = sink.records.delivered_at
+            i = bisect_left(times, t)
+            firsts.append(times[i] if i < len(times) else float("inf"))
         return firsts

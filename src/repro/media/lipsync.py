@@ -10,29 +10,24 @@ a run stays inside any given bound.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.media.sink import DeliveryRecord, PlayoutSink
+from repro.media.sink import DeliveryLog, PlayoutSink
 
 #: The canonical lip-sync perceptual threshold, seconds.
 LIP_SYNC_THRESHOLD = 0.080
 
 
-def _position_series(records: Sequence[DeliveryRecord]):
+def _position_series(records: DeliveryLog):
     """Return a step function t -> presented media time."""
-    times = [r.delivered_at for r in records]
-    positions = [r.media_time for r in records]
+    times = records.delivered_at
+    positions = records.media_time
 
     def at(t: float) -> float:
-        # Binary search for the last record delivered at or before t.
-        lo, hi = 0, len(times)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if times[mid] <= t:
-                lo = mid + 1
-            else:
-                hi = mid
-        return positions[lo - 1] if lo > 0 else 0.0
+        # The last record delivered at or before t.
+        i = bisect_right(times, t)
+        return positions[i - 1] if i else 0.0
 
     return at
 

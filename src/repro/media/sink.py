@@ -1,7 +1,12 @@
 """Playout sinks.
 
 A sink owns the *receive* endpoint of one VC, consumes OSDUs, and logs
-delivery times -- the raw material for the lip-sync metric.
+delivery times -- the raw material for the lip-sync metric.  The log
+is columnar (:class:`DeliveryLog`): one ``array`` per field, appended
+once per presented OSDU, with a :class:`DeliveryRecord` built only when
+a reader indexes or iterates it.  Scans that search the log by time
+(``media_position_at``, :mod:`repro.media.lipsync`) bisect the
+``delivered_at`` column, which never decreases.
 
 Two consumption modes reproduce the paper's two regimes:
 
@@ -24,8 +29,11 @@ parameter (section 3.2) exists to dimension.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterator, List, Optional, Union
 
 from repro.sim.scheduler import Process, Simulator, Timer
 from repro.transport.entity import VCEndpoint
@@ -46,6 +54,52 @@ class DeliveryRecord:
     delivered_at: float   # simulator (true) time
     local_time: float     # sink node's clock
     created_at: Optional[float] = None  # source write time (true time)
+
+
+def _record(seq, media_time, delivered_at, local_time, created_at):
+    # NaN is the column's stand-in for an absent ``created_at``.
+    return DeliveryRecord(
+        seq, media_time, delivered_at, local_time,
+        None if created_at != created_at else created_at,
+    )
+
+
+class DeliveryLog(Sequence):
+    """A sink's delivery log: a read-only sequence of
+    :class:`DeliveryRecord` kept as five columns.
+
+    ``seq`` is ``array('q')``; ``media_time``, ``delivered_at``,
+    ``local_time`` and ``created_at`` are ``array('d')``, with NaN for
+    a ``created_at`` of ``None``.  Records are built on read; scans
+    that need one field read its column instead.  Only the owning sink
+    appends to the columns.
+    """
+
+    __slots__ = ("seq", "media_time", "delivered_at", "local_time", "created_at")
+
+    def __init__(self) -> None:
+        self.seq = array("q")
+        self.media_time = array("d")
+        self.delivered_at = array("d")
+        self.local_time = array("d")
+        self.created_at = array("d")
+
+    def _columns(self):
+        return (self.seq, self.media_time, self.delivered_at,
+                self.local_time, self.created_at)
+
+    def __len__(self) -> int:
+        return len(self.seq)
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[DeliveryRecord, List[DeliveryRecord]]:
+        if isinstance(index, slice):
+            return list(map(_record, *(c[index] for c in self._columns())))
+        return _record(*(c[index] for c in self._columns()))
+
+    def __iter__(self) -> Iterator[DeliveryRecord]:
+        return map(_record, *self._columns())
 
 
 class PlayoutSink:
@@ -82,7 +136,7 @@ class PlayoutSink:
         #: De-jitter buffer depth in seconds (paced mode only).
         self.playout_delay = playout_delay
         self.late_count = 0
-        self.records: List[DeliveryRecord] = []
+        self.records = DeliveryLog()
         self.started = False
         self._consumer: Process = sim.spawn(
             self._consume_loop(), name=f"sink:{endpoint.vc_id}"
@@ -93,21 +147,25 @@ class PlayoutSink:
 
     @property
     def presented(self) -> int:
-        return len(self.records)
+        return len(self.records.seq)
 
     def media_position_at(self, t: float) -> float:
         """Media time presented as of simulator time ``t``."""
-        position = 0.0
-        for record in self.records:
-            if record.delivered_at > t:
-                break
-            position = record.media_time
-        return position
+        i = bisect_right(self.records.delivered_at, t)
+        return self.records.media_time[i - 1] if i else 0.0
 
     def last_media_time(self) -> float:
-        return self.records[-1].media_time if self.records else 0.0
+        media_time = self.records.media_time
+        return media_time[-1] if media_time else 0.0
 
     def _consume_loop(self):
+        log = self.records
+        log_seq = log.seq.append
+        log_media_time = log.media_time.append
+        log_delivered_at = log.delivered_at.append
+        log_local_time = log.local_time.append
+        log_created_at = log.created_at.append
+        nan = float("nan")
         next_play_local: Optional[float] = None
         pause = Timer(self.sim)
         while True:
@@ -133,15 +191,12 @@ class PlayoutSink:
                 if osdu.media_time is not None
                 else osdu.seq / self.osdu_rate
             )
-            self.records.append(
-                DeliveryRecord(
-                    seq=osdu.seq,
-                    media_time=media_time,
-                    delivered_at=self.sim.now,
-                    local_time=self.clock.now(),
-                    created_at=osdu.created_at,
-                )
-            )
+            created_at = osdu.created_at
+            log_seq(osdu.seq)
+            log_media_time(media_time)
+            log_delivered_at(self.sim.now)
+            log_local_time(self.clock.now())
+            log_created_at(nan if created_at is None else created_at)
 
     def _orch_loop(self):
         while True:

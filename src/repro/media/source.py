@@ -186,9 +186,12 @@ class LiveSource:
         if self.switched_on:
             return
         self.switched_on = True
-        self._proc = self.sim.spawn(
-            self._capture_loop(), name=f"live:{self.endpoint.vc_id}"
-        )
+        # Switched off and on again within one period: the old loop is
+        # still parked on its tick and carries on, so no second one.
+        if self._proc is None or not self._proc.alive:
+            self._proc = self.sim.spawn(
+                self._capture_loop(), name=f"live:{self.endpoint.vc_id}"
+            )
 
     def switch_off(self) -> None:
         self.switched_on = False

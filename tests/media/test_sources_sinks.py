@@ -138,6 +138,22 @@ class TestLiveSource:
         bed.run(2.0)
         assert source.index <= index + 1
 
+    def test_switch_off_and_on_within_a_period_keeps_one_capture(self, bed):
+        stream = make_stream(bed)
+        clock = bed.network.host("src").clock
+        source = LiveSource(
+            bed.sim, stream.send_endpoint, video_cbr(25.0, 2000), clock
+        )
+        source.switch_on()
+        bed.run(1.0)
+        source.switch_off()
+        bed.run(0.01)  # shorter than the 40 ms capture period
+        source.switch_on()
+        index = source.index
+        bed.run(4.0)
+        # One camera at 25 fps: ~100 units in 4 s, not two loops' 200.
+        assert source.index - index == pytest.approx(100, abs=2)
+
     def test_overruns_counted_when_buffer_full(self, bed):
         # A tiny contract: the link admits the stream but the paced
         # sender cannot keep up with the camera, so the buffer fills.
