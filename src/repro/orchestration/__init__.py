@@ -30,7 +30,6 @@ desired state.
 """
 
 from repro.orchestration.primitives import (
-    OrchDenyIndication,
     OrchEventIndication,
     OrchPrimitive,
     OrchRegulateIndication,
@@ -89,7 +88,6 @@ __all__ = [
     "LeaseError",
     "LeaseTable",
     "NTPLikeSynchronizer",
-    "OrchDenyIndication",
     "OrchEventIndication",
     "OrchPrimitive",
     "OrchRegulateIndication",

@@ -93,13 +93,12 @@ class _Session:
 
 
 @dataclass
-class _PendingAggregate:
-    """Fan-out request waiting for replies from several nodes."""
+class _Pending:
+    """A request awaiting its replies: ``done`` is set to the result
+    once every node in ``waiting`` has confirmed, or one has denied."""
 
     waiting: Set[str]
     done: Event
-    ok: bool = True
-    reason: str = ""
 
 
 class _Join:
@@ -170,8 +169,33 @@ def auto_orch_responder(sim: Simulator, endpoint: VCEndpoint):
     return sim.spawn(responder(), name=f"orch-auto:{endpoint.vc_id}")
 
 
+#: Table 5: the indication each Group-1 command gives the application
+#: threads.  Orch.Prime runs in two phases: a sink's thread hears of it
+#: while its buffers are cleaned out, a source's when it is to fill them.
+_INDICATIONS = {
+    "prime-clean": PrimeIndication,
+    "prime-fill": PrimeIndication,
+    "start": StartIndication,
+    "stop": StopIndication,
+    "add": AddIndication,
+    "remove": RemoveIndication,
+}
+
+#: What an Orch request returns when its replies do not come in time.
+_TIMED_OUT = OrchReply(False, REASON_TIMEOUT)
+
+#: Source statistics (app block, protocol block, dropped) reported when
+#: the source holds no such VC or does not answer in time.
+_NO_STATS = (0.0, 0.0, 0)
+
+
 class LLOInstance:
-    """Low-level orchestrator for one node."""
+    """Low-level orchestrator for one node.
+
+    Every primitive is one request/reply exchange: :meth:`_send` hands an
+    OPDU to the node that must act on it (this one included), and
+    :meth:`_ask` waits in ``_pending`` for the replies.
+    """
 
     def __init__(
         self,
@@ -197,9 +221,7 @@ class LLOInstance:
         self.sessions: Dict[str, _Session] = {}
         self._agent_queues: Dict[str, Queue] = {}
         self._req_ids = itertools.count(1)
-        self._pending: Dict[int, _PendingAggregate] = {}
-        self._stats_pending: Dict[int, Event] = {}
-        self._delayed_pending: Dict[int, Event] = {}
+        self._pending: Dict[int, _Pending] = {}
         # Per-VC serialisation of regulation intervals: back-to-back
         # Orch.Regulate commands queue rather than overlap.
         self._regulating: Set[str] = set()
@@ -207,6 +229,21 @@ class LLOInstance:
         self._event_matchers: Set[Tuple[str, str]] = set()
         self.drops_requested = 0
         self.drops_performed = 0
+        self._handlers = {
+            SessionRequestOPDU: self._handle_session_request,
+            SessionReleaseOPDU: self._handle_session_release,
+            GroupCmdOPDU: self._handle_group_cmd,
+            ReplyOPDU: self._handle_reply,
+            RegulateCmdOPDU: self._handle_regulate_cmd,
+            RegulateReportOPDU: self._handle_regulate_report,
+            DropRequestOPDU: self._handle_drop_request,
+            NudgeCmdOPDU: self._handle_nudge_cmd,
+            StatsQueryOPDU: self._handle_stats_query,
+            StatsReplyOPDU: self._handle_stats_reply,
+            DelayedCmdOPDU: self._handle_delayed_cmd,
+            EventRegisterOPDU: self._handle_event_register,
+            EventNotifyOPDU: self._handle_event_notify,
+        }
 
     # ------------------------------------------------------------------
     # Agent-facing interface (used on the orchestrating node)
@@ -229,22 +266,15 @@ class LLOInstance:
         if len(self.sessions) >= self.max_sessions:
             return OrchReply(False, REASON_NO_TABLE_SPACE)
         session = _Session(session_id, dict(vcs), origin=self.node_name)
-        nodes = session.nodes()
-        request_id = next(self._req_ids)
-        aggregate = _PendingAggregate(set(nodes), Event(self.sim))
-        self._pending[request_id] = aggregate
-        for node in sorted(nodes):
-            opdu = SessionRequestOPDU(
+        reply = yield from self._ask(
+            session.nodes(), self.prime_fill_timeout,
+            lambda request_id: SessionRequestOPDU(
                 session_id=session_id,
                 request_id=request_id,
                 origin=self.node_name,
                 vcs=dict(vcs),
-            )
-            if node == self.node_name:
-                self._handle_session_request(opdu)
-            else:
-                self._send_opdu(node, opdu)
-        reply = yield from self._await_aggregate(request_id, aggregate)
+            ),
+        )
         if reply.accept:
             # The orchestrating node tracks the session even when it
             # terminates no VC itself (the HLO agent lives here).
@@ -262,16 +292,12 @@ class LLOInstance:
 
     def _release_everywhere(self, session: _Session, reason: str) -> None:
         for node in sorted(session.nodes() | {session.origin}):
-            opdu = SessionReleaseOPDU(
+            self._send(node, SessionReleaseOPDU(
                 session_id=session.session_id,
                 request_id=next(self._req_ids),
                 origin=self.node_name,
                 reason=reason,
-            )
-            if node == self.node_name:
-                self.sessions.pop(session.session_id, None)
-            else:
-                self._send_opdu(node, opdu)
+            ))
 
     def group_command(
         self, session_id: str, kind: str, vc_ids: Optional[List[str]] = None,
@@ -280,9 +306,9 @@ class LLOInstance:
     ) -> Generator:
         """Coroutine: run a Group-1 command over (part of) the group.
 
-        ``kind`` is one of ``prime | start | stop | add | remove``.
-        Returns an :class:`OrchReply`; a negative reply corresponds to
-        the Orch.Deny.indication of Table 5.
+        ``kind`` is one of ``prime-clean | prime-fill | start | stop |
+        add | remove``.  Returns an :class:`OrchReply`; a negative reply
+        is what the paper's Orch.Deny.indication (Table 5) reports.
         """
         session = self.sessions.get(session_id)
         if session is None:
@@ -290,12 +316,9 @@ class LLOInstance:
         if kind == "add" and vcs:
             session.vcs.update(vcs)
         target_vcs = vc_ids if vc_ids is not None else list(session.vcs)
-        nodes = session.nodes(target_vcs)
-        request_id = next(self._req_ids)
-        aggregate = _PendingAggregate(set(nodes), Event(self.sim))
-        self._pending[request_id] = aggregate
-        for node in sorted(nodes):
-            opdu = GroupCmdOPDU(
+        reply = yield from self._ask(
+            session.nodes(target_vcs), self.prime_fill_timeout,
+            lambda request_id: GroupCmdOPDU(
                 session_id=session_id,
                 request_id=request_id,
                 origin=self.node_name,
@@ -303,12 +326,8 @@ class LLOInstance:
                 vc_ids=list(target_vcs),
                 vcs=dict(vcs or {}),
                 metered=metered,
-            )
-            if node == self.node_name:
-                self._handle_group_cmd(opdu)
-            else:
-                self._send_opdu(node, opdu)
-        reply = yield from self._await_aggregate(request_id, aggregate)
+            ),
+        )
         if kind == "remove" and reply.accept:
             for vc_id in target_vcs:
                 session.vcs.pop(vc_id, None)
@@ -385,8 +404,7 @@ class LLOInstance:
             # races inherent in distributed membership make this a
             # silent no-op rather than an error.
             return
-        sink = session.vcs[vc_id][1]
-        opdu = RegulateCmdOPDU(
+        self._send(session.vcs[vc_id][1], RegulateCmdOPDU(
             session_id=session_id,
             request_id=next(self._req_ids),
             origin=self.node_name,
@@ -395,11 +413,7 @@ class LLOInstance:
             max_drop=max_drop,
             interval_length=interval_length,
             interval_id=interval_id,
-        )
-        if sink == self.node_name:
-            self._handle_regulate_cmd(opdu)
-        else:
-            self._send_opdu(sink, opdu)
+        ))
 
     def nudge_request(self, session_id: str, vc_id: str) -> None:
         """Ask the source of an outaged VC to re-open its send window.
@@ -411,17 +425,12 @@ class LLOInstance:
         session = self.sessions.get(session_id)
         if session is None or vc_id not in session.vcs:
             return
-        src = session.vcs[vc_id][0]
-        opdu = NudgeCmdOPDU(
+        self._send(session.vcs[vc_id][0], NudgeCmdOPDU(
             session_id=session_id,
             request_id=next(self._req_ids),
             origin=self.node_name,
             vc_id=vc_id,
-        )
-        if src == self.node_name:
-            self._handle_nudge_cmd(opdu)
-        else:
-            self._send_opdu(src, opdu)
+        ))
 
     def _handle_nudge_cmd(self, opdu: NudgeCmdOPDU) -> None:
         """Source-side nudge: start the transport credit probe."""
@@ -441,28 +450,19 @@ class LLOInstance:
         if session is None or vc_id not in session.vcs:
             return OrchReply(False, REASON_NO_SUCH_VC)
         src, sink = session.vcs[vc_id]
-        node = src if source_or_sink == "source" else sink
-        request_id = next(self._req_ids)
-        done = Event(self.sim)
-        self._delayed_pending[request_id] = done
-        opdu = DelayedCmdOPDU(
-            session_id=session_id,
-            request_id=request_id,
-            origin=self.node_name,
-            vc_id=vc_id,
-            source_or_sink=source_or_sink,
-            interval_length=interval_length,
-            osdus_behind=osdus_behind,
-        )
-        if node == self.node_name:
-            self._handle_delayed_cmd(opdu)
-        else:
-            self._send_opdu(node, opdu)
-        fired, value = yield done.within(self.app_reply_timeout)
-        self._delayed_pending.pop(request_id, None)
-        if not fired:
-            return OrchReply(False, REASON_TIMEOUT)
-        return value
+        return (yield from self._ask(
+            [src if source_or_sink == "source" else sink],
+            self.app_reply_timeout,
+            lambda request_id: DelayedCmdOPDU(
+                session_id=session_id,
+                request_id=request_id,
+                origin=self.node_name,
+                vc_id=vc_id,
+                source_or_sink=source_or_sink,
+                interval_length=interval_length,
+                osdus_behind=osdus_behind,
+            ),
+        ))
 
     def local_delivered_seq(self, vc_id: str):
         """Delivered OSDU sequence for a locally-terminated sink VC.
@@ -480,118 +480,105 @@ class LLOInstance:
         session = self.sessions.get(session_id)
         if session is None or vc_id not in session.vcs:
             raise LLOError(f"event register for unknown VC {vc_id!r}")
-        sink = session.vcs[vc_id][1]
-        opdu = EventRegisterOPDU(
+        self._send(session.vcs[vc_id][1], EventRegisterOPDU(
             session_id=session_id,
             request_id=next(self._req_ids),
             origin=self.node_name,
             vc_id=vc_id,
             event_pattern=pattern,
+        ))
+
+    # ------------------------------------------------------------------
+    # Request/reply plumbing
+    # ------------------------------------------------------------------
+
+    def _send(self, node: str, opdu: ControlOPDU) -> None:
+        """Hand ``opdu`` to the LLO at ``node``: this one's handler runs
+        at once, any other's when the OPDU arrives over the network."""
+        if node == self.node_name:
+            self._handlers[type(opdu)](opdu)
+            return
+        self.network.send(
+            Packet(
+                src=self.node_name,
+                dst=node,
+                payload=opdu,
+                size_bits=OPDU_WIRE_BYTES * 8,
+                priority=Priority.CONTROL,
+            )
         )
-        if sink == self.node_name:
-            self._handle_event_register(opdu)
-        else:
-            self._send_opdu(sink, opdu)
 
-    # ------------------------------------------------------------------
-    # Aggregation plumbing
-    # ------------------------------------------------------------------
+    def _on_packet(self, packet: Packet) -> None:
+        handler = self._handlers.get(type(packet.payload))
+        if handler is not None:
+            handler(packet.payload)
 
-    def _await_aggregate(
-        self, request_id: int, aggregate: _PendingAggregate
-    ) -> Generator:
-        fired, _value = yield aggregate.done.within(self.prime_fill_timeout)
-        self._pending.pop(request_id, None)
-        if not fired:
-            return OrchReply(False, REASON_TIMEOUT)
-        return OrchReply(aggregate.ok, aggregate.reason)
+    def _ask(self, nodes, timeout: float,
+             make_opdu: Callable[[int], ControlOPDU],
+             expired=_TIMED_OUT) -> Generator:
+        """Coroutine: send ``make_opdu(request_id)`` to each of ``nodes``
+        and wait up to ``timeout`` for their replies.
 
-    def _reply_to(self, origin: str, opdu: ControlOPDU, ok: bool, reason: str) -> None:
-        reply = ReplyOPDU(
+        Returns what the replies settle (see :meth:`_handle_reply` and
+        :meth:`_handle_stats_reply`), or ``expired`` if they do not
+        settle in time.
+        """
+        request_id = next(self._req_ids)
+        pending = _Pending(set(nodes), Event(self.sim))
+        self._pending[request_id] = pending
+        for node in sorted(nodes):
+            self._send(node, make_opdu(request_id))
+        fired, value = yield pending.done.within(timeout)
+        del self._pending[request_id]
+        return value if fired else expired
+
+    def _reply_to(self, opdu: ControlOPDU, ok: bool, reason: str) -> None:
+        self._send(opdu.origin, ReplyOPDU(
             session_id=opdu.session_id,
             request_id=opdu.request_id,
             origin=self.node_name,
             ok=ok,
             reason=reason,
             node=self.node_name,
-        )
-        if origin == self.node_name:
-            self._handle_reply(reply)
-        else:
-            self._send_opdu(origin, reply)
+        ))
 
     def _handle_reply(self, reply: ReplyOPDU) -> None:
-        if reply.request_id in self._delayed_pending:
-            self._handle_delayed_reply(reply)
+        pending = self._pending.get(reply.request_id)
+        if pending is None or pending.done.is_set:
             return
-        aggregate = self._pending.get(reply.request_id)
-        if aggregate is None:
-            return
-        aggregate.waiting.discard(reply.node)
-        if not reply.ok and aggregate.ok:
-            aggregate.ok = False
-            aggregate.reason = reply.reason
-            # A deny aborts the group operation immediately ("the
-            # result is passed back", section 6.2.1) -- other legs may
-            # be waiting on pipelines that will now never fill.
-            if not aggregate.done.is_set:
-                aggregate.done.set(None)
-                return
-        if not aggregate.waiting and not aggregate.done.is_set:
-            aggregate.done.set(None)
+        pending.waiting.discard(reply.node)
+        # A deny settles the request at once ("the result is passed
+        # back", section 6.2.1): other legs may be waiting on pipelines
+        # that will now never fill.
+        if not reply.ok or not pending.waiting:
+            pending.done.set(OrchReply(reply.ok, reply.reason))
 
     # ------------------------------------------------------------------
     # OPDU handlers (this node as a *participant*)
     # ------------------------------------------------------------------
 
-    def _on_packet(self, packet: Packet) -> None:
-        opdu = packet.payload
-        handlers = {
-            SessionRequestOPDU: self._handle_session_request,
-            SessionReleaseOPDU: self._handle_session_release,
-            GroupCmdOPDU: self._handle_group_cmd,
-            ReplyOPDU: self._handle_reply,
-            RegulateCmdOPDU: self._handle_regulate_cmd,
-            RegulateReportOPDU: self._handle_regulate_report,
-            DropRequestOPDU: self._handle_drop_request,
-            NudgeCmdOPDU: self._handle_nudge_cmd,
-            StatsQueryOPDU: self._handle_stats_query,
-            StatsReplyOPDU: self._handle_stats_reply,
-            DelayedCmdOPDU: self._handle_delayed_cmd,
-            EventRegisterOPDU: self._handle_event_register,
-            EventNotifyOPDU: self._handle_event_notify,
-        }
-        handler = handlers.get(type(opdu))
-        if handler is not None:
-            handler(opdu)
-
     def _handle_session_request(self, opdu: SessionRequestOPDU) -> None:
         if opdu.session_id in self.sessions:
-            self._reply_to(opdu.origin, opdu, True, "")
+            self._reply_to(opdu, True, "")
             return
         if len(self.sessions) >= self.max_sessions:
             # "Rejection may occur because some LLO instance has no
             # table space available" (section 6.1).
-            self._reply_to(opdu.origin, opdu, False, REASON_NO_TABLE_SPACE)
+            self._reply_to(opdu, False, REASON_NO_TABLE_SPACE)
             return
-        for vc_id, (src, sink) in opdu.vcs.items():
-            local_roles = self._local_roles(vc_id)
-            expects_source = src == self.node_name
-            expects_sink = sink == self.node_name
-            if (expects_source and "source" not in local_roles) or (
-                expects_sink and "sink" not in local_roles
-            ):
-                # "... or because one or more of the specified VCs do
-                # not exist" (section 6.1).
-                self._reply_to(opdu.origin, opdu, False, REASON_NO_SUCH_VC)
-                return
+        if self._missing_vc(opdu.vcs) is not None:
+            self._reply_to(opdu, False, REASON_NO_SUCH_VC)
+            return
         self.sessions[opdu.session_id] = _Session(
             opdu.session_id, dict(opdu.vcs), origin=opdu.origin
         )
-        self._reply_to(opdu.origin, opdu, True, "")
+        self._reply_to(opdu, True, "")
 
     def _handle_session_release(self, opdu: SessionReleaseOPDU) -> None:
         self.sessions.pop(opdu.session_id, None)
+        for backlog in self._regulate_backlog.values():
+            backlog[:] = [cmd for cmd in backlog
+                          if cmd.session_id != opdu.session_id]
 
     def _local_roles(self, vc_id: str) -> Set[str]:
         roles: Set[str] = set()
@@ -601,6 +588,19 @@ class LLOInstance:
             roles.add("sink")
         return roles
 
+    def _missing_vc(self, vcs: Dict[str, Tuple[str, str]]) -> Optional[str]:
+        """The first of ``vcs`` this node should terminate but does not.
+
+        "... or because one or more of the specified VCs do not exist"
+        (section 6.1).
+        """
+        for vc_id, (src, sink) in vcs.items():
+            if (src == self.node_name and vc_id not in self.entity.send_vcs) or (
+                sink == self.node_name and vc_id not in self.entity.recv_vcs
+            ):
+                return vc_id
+        return None
+
     def _handle_group_cmd(self, opdu: GroupCmdOPDU) -> None:
         session = self.sessions.get(opdu.session_id)
         if session is None:
@@ -608,15 +608,14 @@ class LLOInstance:
                 # Orch.Add can bring a node into the session for the
                 # first time (a new source joining a running group).
                 if len(self.sessions) >= self.max_sessions:
-                    self._reply_to(opdu.origin, opdu, False,
-                                   REASON_NO_TABLE_SPACE)
+                    self._reply_to(opdu, False, REASON_NO_TABLE_SPACE)
                     return
                 session = _Session(
                     opdu.session_id, dict(opdu.vcs), origin=opdu.origin
                 )
                 self.sessions[opdu.session_id] = session
             else:
-                self._reply_to(opdu.origin, opdu, False, REASON_NO_SUCH_VC)
+                self._reply_to(opdu, False, REASON_NO_SUCH_VC)
                 return
         if opdu.kind == "add":
             session.vcs.update(opdu.vcs)
@@ -627,14 +626,11 @@ class LLOInstance:
 
     def _run_group_cmd(self, session: _Session, opdu: GroupCmdOPDU):
         if opdu.kind == "add":
-            for vc_id, (src, sink) in opdu.vcs.items():
-                local_roles = self._local_roles(vc_id)
-                if (src == self.node_name and "source" not in local_roles) or (
-                    sink == self.node_name and "sink" not in local_roles
-                ):
-                    session.vcs.pop(vc_id, None)
-                    self._reply_to(opdu.origin, opdu, False, REASON_NO_SUCH_VC)
-                    return
+            missing = self._missing_vc(opdu.vcs)
+            if missing is not None:
+                session.vcs.pop(missing, None)
+                self._reply_to(opdu, False, REASON_NO_SUCH_VC)
+                return
         # Every local (vc, role) leg runs concurrently: priming one VC
         # can take seconds (the pipeline fills at the media rate), and
         # serialising legs would leave later VCs' gates open meanwhile,
@@ -647,8 +643,8 @@ class LLOInstance:
         join = _Join(self.sim, len(legs))
         for index, (vc_id, role) in enumerate(legs):
             self.sim.spawn(
-                join.leg(index, self._apply_cmd(opdu.kind, session, vc_id,
-                                                role, metered=opdu.metered)),
+                join.leg(index, self._run_leg(opdu.kind, session, vc_id,
+                                              role, opdu.metered)),
                 name=f"llo-{opdu.kind}-leg:{vc_id}/{role}",
             )
         results = yield join.done
@@ -660,11 +656,20 @@ class LLOInstance:
             for vc_id in opdu.vc_ids:
                 session.vcs.pop(vc_id, None)
                 session.event_patterns.pop(vc_id, None)
-        self._reply_to(opdu.origin, opdu, ok, reason)
+        self._reply_to(opdu, ok, reason)
 
-    def _apply_cmd(self, kind: str, session: _Session, vc_id: str, role: str,
-                   metered: bool = False):
-        """Coroutine: execute one command leg; returns (ok, reason)."""
+    def _run_leg(self, kind: str, session: _Session, vc_id: str, role: str,
+                 metered: bool):
+        """Coroutine: one Group-1 command (Table 5) at one (VC, role).
+
+        Most legs indicate the command to the application thread and
+        take its reply.  What differs by command and role: a sink's
+        gate closes before Prime's clean phase (which also waits for
+        the wire to quiesce) and before Stop; a source's clean phase
+        only flushes its send buffer; a sink's fill phase only waits
+        for its pipeline to prime; an accepted Start meters or opens a
+        sink's gate.  Returns ``(ok, reason)``.
+        """
         trace = self.sim.trace
         span = (
             trace.span(
@@ -676,98 +681,50 @@ class LLOInstance:
             if trace.enabled
             else None
         )
-        ok, reason = yield from self._apply_cmd_leg(
-            kind, session, vc_id, role, metered
-        )
+        endpoint = self.entity.endpoint_for(vc_id)
+        ok, reason = True, ""
+        if kind == "prime-clean" and role == "source":
+            self.entity.send_vcs[vc_id].flush()
+        elif kind == "prime-fill" and role == "sink":
+            primed = self.entity.recv_vcs[vc_id].when_primed()
+            fired, _value = yield primed.within(self.prime_fill_timeout)
+            if not fired:
+                ok, reason = False, REASON_TIMEOUT
+        else:
+            if role == "sink" and kind in ("prime-clean", "stop"):
+                recv_vc = self.entity.recv_vcs[vc_id]
+                recv_vc.close_gate()
+                if kind == "prime-clean":
+                    # Quiesce: stragglers still on the wire (the prime
+                    # command travels at CONTROL priority and can
+                    # overtake data) must land and be flushed before
+                    # the pipeline refills.
+                    deposited = recv_vc.buffer.deposited
+                    quiesce = Timer(self.sim)
+                    while True:
+                        recv_vc.flush()
+                        yield quiesce.after(self.prime_quiesce)
+                        if recv_vc.buffer.deposited == deposited:
+                            break
+                        deposited = recv_vc.buffer.deposited
+                    recv_vc.flush()
+            reply = yield from self._indicate(
+                endpoint,
+                _INDICATIONS[kind](
+                    orch_session_id=session.session_id, vc_id=vc_id, role=role
+                ),
+            )
+            if not reply.accept:
+                ok, reason = False, reply.reason or REASON_APP_DENY
+            elif kind == "start" and role == "sink":
+                recv_vc = self.entity.recv_vcs[vc_id]
+                if metered:
+                    recv_vc.meter_gate()
+                else:
+                    recv_vc.open_gate()
         if span is not None:
             span.end(ok=ok, reason=reason)
         return ok, reason
-
-    def _apply_cmd_leg(self, kind: str, session: _Session, vc_id: str,
-                       role: str, metered: bool = False):
-        endpoint = self.entity.endpoint_for(vc_id)
-        if kind == "prime-clean":
-            return (yield from self._prime_clean(session, vc_id, role,
-                                                 endpoint))
-        if kind == "prime-fill":
-            return (yield from self._prime_fill(session, vc_id, role,
-                                                endpoint))
-        indication_cls = {
-            "start": StartIndication,
-            "stop": StopIndication,
-            "add": AddIndication,
-            "remove": RemoveIndication,
-        }[kind]
-        if kind == "stop" and role == "sink":
-            self.entity.recv_vcs[vc_id].close_gate()
-        reply = yield from self._indicate(
-            endpoint,
-            indication_cls(
-                orch_session_id=session.session_id, vc_id=vc_id, role=role
-            ),
-        )
-        if not reply.accept:
-            return False, reply.reason or REASON_APP_DENY
-        if kind == "start" and role == "sink":
-            recv_vc = self.entity.recv_vcs[vc_id]
-            if metered:
-                recv_vc.meter_gate()
-            else:
-                recv_vc.open_gate()
-        return True, ""
-
-    def _prime_clean(self, session: _Session, vc_id: str, role: str,
-                     endpoint):
-        """Phase 1 of Orch.Prime: gates closed, buffers cleaned out."""
-        if role == "sink":
-            recv_vc = self.entity.recv_vcs[vc_id]
-            recv_vc.close_gate()
-            # Quiesce: stragglers still on the wire (the prime command
-            # travels at CONTROL priority and can overtake data) must
-            # land and be flushed before the pipeline refills.
-            deposited = recv_vc.buffer.deposited
-            quiesce = Timer(self.sim)
-            while True:
-                recv_vc.flush()
-                yield quiesce.after(self.prime_quiesce)
-                if recv_vc.buffer.deposited == deposited:
-                    break
-                deposited = recv_vc.buffer.deposited
-            recv_vc.flush()
-            reply = yield from self._indicate(
-                endpoint,
-                PrimeIndication(
-                    orch_session_id=session.session_id, vc_id=vc_id,
-                    role=role,
-                ),
-            )
-            if not reply.accept:
-                return False, reply.reason or REASON_APP_DENY
-        else:
-            self.entity.send_vcs[vc_id].flush()
-        return True, ""
-
-    def _prime_fill(self, session: _Session, vc_id: str, role: str,
-                    endpoint):
-        """Phase 2 of Orch.Prime: sources generate, sinks fill."""
-        if role == "source":
-            reply = yield from self._indicate(
-                endpoint,
-                PrimeIndication(
-                    orch_session_id=session.session_id, vc_id=vc_id,
-                    role=role,
-                ),
-            )
-            if not reply.accept:
-                return False, reply.reason or REASON_APP_DENY
-            return True, ""
-        recv_vc = self.entity.recv_vcs[vc_id]
-        fired, _value = yield recv_vc.when_primed().within(
-            self.prime_fill_timeout
-        )
-        if not fired:
-            return False, REASON_TIMEOUT
-        return True, ""
 
     def _indicate(self, endpoint: Optional[VCEndpoint], primitive):
         """Coroutine: deliver an indication to the app thread, await reply."""
@@ -802,8 +759,9 @@ class LLOInstance:
         )
 
     def _finish_interval(self, vc_id: str) -> None:
-        backlog = self._regulate_backlog.get(vc_id)
-        if backlog:
+        """Start the VC's next backlogged interval whose session is live."""
+        backlog = self._regulate_backlog.get(vc_id, [])
+        while backlog:
             next_cmd = backlog.pop(0)
             session = self.sessions.get(next_cmd.session_id)
             if session is not None:
@@ -868,17 +826,13 @@ class LLOInstance:
         auditor = self.sim.auditor
         if auditor is not None:
             auditor.record_regulation_drop(session_id, vc_id)
-        opdu = DropRequestOPDU(
+        self._send(source_node, DropRequestOPDU(
             session_id=session_id,
             request_id=next(self._req_ids),
             origin=self.node_name,
             vc_id=vc_id,
             count=1,
-        )
-        if source_node == self.node_name:
-            self._handle_drop_request(opdu)
-        else:
-            self._send_opdu(source_node, opdu)
+        ))
 
     def _handle_drop_request(self, opdu: DropRequestOPDU) -> None:
         send_vc = self.entity.send_vcs.get(opdu.vc_id)
@@ -896,7 +850,7 @@ class LLOInstance:
         app_block_src, proto_block_src, dropped_src = yield from self._query_source(
             source_node, session.session_id, cmd.vc_id, cmd.interval_id
         )
-        report = RegulateReportOPDU(
+        self._send(session.origin, RegulateReportOPDU(
             session_id=session.session_id,
             request_id=cmd.request_id,
             origin=self.node_name,
@@ -913,71 +867,56 @@ class LLOInstance:
                 "sink": recv_vc.blocked_time(ROLE_APPLICATION),
             },
             sink_buffered=sink_buffered,
-        )
-        if session.origin == self.node_name:
-            self._handle_regulate_report(report)
-        else:
-            self._send_opdu(session.origin, report)
+        ))
 
     def _query_source(
         self, source_node: str, session_id: str, vc_id: str, interval_id: int
     ):
         """Coroutine: fetch cumulative blocking/drop stats from the source."""
         if source_node == self.node_name:
-            send_vc = self.entity.send_vcs.get(vc_id)
-            if send_vc is None:
-                return 0.0, 0.0, 0
-            return (
-                send_vc.blocked_time(ROLE_APPLICATION),
-                send_vc.blocked_time(ROLE_PROTOCOL),
-                send_vc.buffer.dropped_at_source,
-            )
-        request_id = next(self._req_ids)
-        done = Event(self.sim)
-        self._stats_pending[request_id] = done
-        self._send_opdu(
-            source_node,
-            StatsQueryOPDU(
+            # Read in place, without a wait: asking this node would
+            # cost a scheduler event for a reply already in hand.
+            return self._source_stats(vc_id)
+        return (yield from self._ask(
+            [source_node], self.app_reply_timeout,
+            lambda request_id: StatsQueryOPDU(
                 session_id=session_id,
                 request_id=request_id,
                 origin=self.node_name,
                 vc_id=vc_id,
                 interval_id=interval_id,
             ),
+            expired=_NO_STATS,
+        ))
+
+    def _source_stats(self, vc_id: str) -> Tuple[float, float, int]:
+        """(app block, protocol block, dropped) so far at the source."""
+        send_vc = self.entity.send_vcs.get(vc_id)
+        if send_vc is None:
+            return _NO_STATS
+        return (
+            send_vc.blocked_time(ROLE_APPLICATION),
+            send_vc.blocked_time(ROLE_PROTOCOL),
+            send_vc.buffer.dropped_at_source,
         )
-        fired, value = yield done.within(self.app_reply_timeout)
-        self._stats_pending.pop(request_id, None)
-        if not fired:
-            return 0.0, 0.0, 0
-        return value
 
     def _handle_stats_query(self, opdu: StatsQueryOPDU) -> None:
-        send_vc = self.entity.send_vcs.get(opdu.vc_id)
-        if send_vc is None:
-            app_block = proto_block = 0.0
-            dropped = 0
-        else:
-            app_block = send_vc.blocked_time(ROLE_APPLICATION)
-            proto_block = send_vc.blocked_time(ROLE_PROTOCOL)
-            dropped = send_vc.buffer.dropped_at_source
-        self._send_opdu(
-            opdu.origin,
-            StatsReplyOPDU(
-                session_id=opdu.session_id,
-                request_id=opdu.request_id,
-                origin=self.node_name,
-                vc_id=opdu.vc_id,
-                interval_id=opdu.interval_id,
-                app_block=app_block,
-                proto_block=proto_block,
-                dropped=dropped,
-            ),
-        )
+        app_block, proto_block, dropped = self._source_stats(opdu.vc_id)
+        self._send(opdu.origin, StatsReplyOPDU(
+            session_id=opdu.session_id,
+            request_id=opdu.request_id,
+            origin=self.node_name,
+            vc_id=opdu.vc_id,
+            interval_id=opdu.interval_id,
+            app_block=app_block,
+            proto_block=proto_block,
+            dropped=dropped,
+        ))
 
     def _handle_stats_reply(self, opdu: StatsReplyOPDU) -> None:
-        done = self._stats_pending.get(opdu.request_id)
-        if done is not None and not done.is_set:
-            done.set((opdu.app_block, opdu.proto_block, opdu.dropped))
+        pending = self._pending.get(opdu.request_id)
+        if pending is not None and not pending.done.is_set:
+            pending.done.set((opdu.app_block, opdu.proto_block, opdu.dropped))
 
     def _handle_regulate_report(self, opdu: RegulateReportOPDU) -> None:
         queue = self._agent_queues.get(opdu.session_id)
@@ -1006,9 +945,8 @@ class LLOInstance:
         )
 
     def _run_delayed(self, opdu: DelayedCmdOPDU):
-        endpoint = self.entity.endpoint_for(opdu.vc_id)
         reply = yield from self._indicate(
-            endpoint,
+            self.entity.endpoint_for(opdu.vc_id),
             DelayedIndication(
                 orch_session_id=opdu.session_id,
                 vc_id=opdu.vc_id,
@@ -1017,23 +955,7 @@ class LLOInstance:
                 osdus_behind=opdu.osdus_behind,
             ),
         )
-        reply_opdu = ReplyOPDU(
-            session_id=opdu.session_id,
-            request_id=opdu.request_id,
-            origin=self.node_name,
-            ok=reply.accept,
-            reason=reply.reason,
-            node=self.node_name,
-        )
-        if opdu.origin == self.node_name:
-            self._handle_delayed_reply(reply_opdu)
-        else:
-            self._send_opdu(opdu.origin, reply_opdu)
-
-    def _handle_delayed_reply(self, opdu: ReplyOPDU) -> None:
-        done = self._delayed_pending.get(opdu.request_id)
-        if done is not None and not done.is_set:
-            done.set(OrchReply(opdu.ok, opdu.reason))
+        self._reply_to(opdu, reply.accept, reply.reason)
 
     # ------------------------------------------------------------------
     # Orch.Event (section 6.3.4)
@@ -1063,18 +985,14 @@ class LLOInstance:
         patterns = session.event_patterns.get(vc_id, set())
         if osdu.event is None or osdu.event not in patterns:
             return
-        notify = EventNotifyOPDU(
+        self._send(session.origin, EventNotifyOPDU(
             session_id=session_id,
             request_id=next(self._req_ids),
             origin=self.node_name,
             vc_id=vc_id,
             event_pattern=osdu.event,
             osdu_seq=osdu.seq,
-        )
-        if session.origin == self.node_name:
-            self._handle_event_notify(notify)
-        else:
-            self._send_opdu(session.origin, notify)
+        ))
 
     def _handle_event_notify(self, opdu: EventNotifyOPDU) -> None:
         queue = self._agent_queues.get(opdu.session_id)
@@ -1087,21 +1005,6 @@ class LLOInstance:
                 event_pattern=opdu.event_pattern,
                 osdu_seq=opdu.osdu_seq,
                 matched_at=self.sim.now,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # Wire plumbing
-    # ------------------------------------------------------------------
-
-    def _send_opdu(self, node: str, opdu: ControlOPDU) -> None:
-        self.network.send(
-            Packet(
-                src=self.node_name,
-                dst=node,
-                payload=opdu,
-                size_bits=OPDU_WIRE_BYTES * 8,
-                priority=Priority.CONTROL,
             )
         )
 

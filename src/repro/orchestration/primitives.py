@@ -17,7 +17,7 @@ its session queue on the local LLO.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -133,11 +133,3 @@ class OrchEventIndication(OrchPrimitive):
     event_pattern: int = 0
     osdu_seq: int = -1
     matched_at: float = 0.0
-
-
-@dataclass(frozen=True)
-class OrchDenyIndication(OrchPrimitive):
-    """Orch.Deny.indication: a group operation was refused."""
-
-    vc_id: Optional[str] = None
-    reason: str = ""

@@ -1,7 +1,12 @@
 """Focused LLO mechanism tests: backlog, queries, drop handling."""
 
+import pytest
 
+from repro.orchestration.llo import REASON_TIMEOUT
 from repro.orchestration.opdu import DropRequestOPDU, RegulateCmdOPDU
+from repro.orchestration.primitives import OrchReply
+
+_TIMED_OUT = OrchReply(False, REASON_TIMEOUT)
 
 
 def establish(film):
@@ -106,3 +111,100 @@ class TestRegulateEdgeCases:
         matching = [i for i in indications if i.interval_id == 7]
         assert len(matching) == 1
         assert matching[0].osdu_seq == base
+
+
+class TestReleasedBacklog:
+    def test_release_does_not_strand_next_sessions_intervals(self, film):
+        """Intervals a released session left queued must not hold up
+        the intervals a later session issues on the same VC."""
+        agent = establish(film)
+        film.run_coro(agent.prime())
+        film.run_coro(agent.start(regulate=False), window=1.0)
+        llo = film.bed.llos["ws"]
+        vc_id = film.streams[0].vc_id
+        recv_vc = film.bed.entities["ws"].recv_vcs[vc_id]
+        recv_vc.meter_gate()
+        base = recv_vc.delivered_seq()
+        for interval_id in (1, 2, 3):
+            llo.regulate_request("sess-1", vc_id, base + 5 * interval_id, 0,
+                                 0.5, interval_id)
+        llo.release("sess-1")
+        assert not llo._regulate_backlog.get(vc_id)
+        reply = film.run_coro(
+            llo.orch_request("sess-2", {vc_id: ("video-srv", "ws")})
+        )
+        assert reply.accept
+        queue = llo.agent_queue("sess-2")
+        base = recv_vc.delivered_seq()
+        llo.regulate_request("sess-2", vc_id, base + 5, 0, 0.5, 11)
+        llo.regulate_request("sess-2", vc_id, base + 10, 0, 0.5, 12)
+        film.bed.run(2.0)
+        reported = []
+        while len(queue):
+            reported.append(queue.get_nowait().interval_id)
+        assert reported == [11, 12]
+        assert vc_id not in llo._regulating
+        assert not llo._regulate_backlog.get(vc_id)
+
+
+def _sever(film, node):
+    """Take both directions of ``node``'s access link down."""
+    for a, b in ((node, "net"), ("net", node)):
+        film.bed.network.link_between(a, b).set_down()
+
+
+def _ask_orch_request(film, llo):
+    _sever(film, "video-srv")
+    vcs = {spec.vc_id: (spec.source_node, spec.sink_node)
+           for spec in film.specs}
+    return film.run_coro(llo.orch_request("sess-1", vcs)), _TIMED_OUT
+
+
+def _ask_group_command(film, llo):
+    establish(film)
+    _sever(film, "video-srv")
+    return film.run_coro(llo.group_command("sess-1", "stop")), _TIMED_OUT
+
+
+def _ask_delayed_request(film, llo):
+    establish(film)
+    _sever(film, "video-srv")
+    vc_id = film.streams[0].vc_id
+    reply = film.run_coro(
+        llo.delayed_request("sess-1", vc_id, "source", 0.2, 5)
+    )
+    return reply, _TIMED_OUT
+
+
+def _ask_source_stats(film, llo):
+    """A regulation interval whose source never answers the stats query
+    still reports, with zeroed source statistics."""
+    agent = establish(film)
+    film.run_coro(agent.prime())
+    film.run_coro(agent.start(regulate=False), window=1.0)
+    vc_id = film.streams[0].vc_id
+    recv_vc = film.bed.entities["ws"].recv_vcs[vc_id]
+    recv_vc.meter_gate()
+    queue = llo.agent_queue("sess-1")
+    _sever(film, "video-srv")
+    llo.regulate_request("sess-1", vc_id, recv_vc.delivered_seq(), 0, 0.25, 7)
+    film.bed.run(3.0)
+    [report] = [queue.get_nowait() for _ in range(len(queue))]
+    source_stats = (report.app_block_times["source"],
+                    report.proto_block_times["source"], report.dropped)
+    return source_stats, (0.0, 0.0, 0)
+
+
+class TestNoPendingLeak:
+    @pytest.mark.parametrize("ask", [
+        _ask_orch_request, _ask_group_command, _ask_delayed_request,
+        _ask_source_stats,
+    ], ids=lambda ask: ask.__name__[len("_ask_"):])
+    def test_unanswered_request_times_out_and_leaves_nothing(self, film,
+                                                             ask):
+        llo = film.bed.llos["ws"]
+        llo.prime_fill_timeout = 2.0
+        llo.app_reply_timeout = 1.0
+        result, expected = ask(film, llo)
+        assert result == expected
+        assert llo._pending == {}
