@@ -206,7 +206,9 @@ class _VCRecord:
     """Bookkeeping for an established VC at its source, and at a
     distinct initiator (which reserves nothing)."""
 
-    request: TConnectRequest
+    #: None for a 1:N group, which is set up without a T-Connect
+    #: (:func:`repro.transport.multicast.create_multicast`).
+    request: Optional[TConnectRequest]
     contract: QoSContract
     reservation: Optional[Reservation]
 
@@ -706,15 +708,14 @@ class TransportEntity:
             self.reservations.modify(reservation, contract.throughput_bps)
         send_vc = SendVC(
             self.sim,
-            self.network.send,
+            self.network,
             vc_id=request.vc_id,
             local=request.src,
-            remote=request.dst,
+            receivers=(request.dst,),
             contract=contract,
             profile=request.protocol,
             cos=request.class_of_service,
             buffer_osdus=contract.buffer_osdus,
-            initial_credits=contract.buffer_osdus,
         )
         self.send_vcs[request.vc_id] = send_vc
         self._vc_records[request.vc_id] = _VCRecord(
@@ -782,7 +783,9 @@ class TransportEntity:
         """What the route can provide, counting the VC's own
         reservation as available."""
         record = self._vc_records.get(request.vc_id)
-        if record is None or request.vc_id not in self.send_vcs:
+        # A 1:N group keeps the contract it was created with.
+        if (record is None or record.request is None
+                or request.vc_id not in self.send_vcs):
             return None, None, REASON_NO_SUCH_VC
         qos = request.new_qos
         if record.reservation is not None:
@@ -891,8 +894,7 @@ class TransportEntity:
             )
             return
         if vc_id in self.send_vcs or vc_id in self.recv_vcs:
-            self._release_local_vc(vc_id, request.initiator, REASON_USER_RELEASE,
-                                   notify_peer=True)
+            self._release_local_vc(vc_id, request.initiator, REASON_USER_RELEASE)
             return
         # Remote release: relay toward the source recorded at connect time.
         record = self._vc_records.get(vc_id)
@@ -941,8 +943,11 @@ class TransportEntity:
         vc_id: str,
         initiator: Optional[TransportAddress],
         reason: str,
-        notify_peer: bool,
+        informed: Optional[str] = None,
     ) -> None:
+        """Release this end of ``vc_id`` and tell every peer end but
+        node ``informed`` (the one whose DisconnectTPDU this is): the
+        source for a sink, each receiver for a source."""
         vc = self.send_vcs.pop(vc_id, None) or self.recv_vcs.pop(vc_id, None)
         if vc is None:
             return
@@ -963,14 +968,17 @@ class TransportEntity:
         binding = self.bindings.get(vc.local.tsap)
         if binding is not None:
             binding.endpoints.pop(vc_id, None)
-        if notify_peer:
-            self._send_control(
-                vc.remote.node,
-                DisconnectTPDU(vc_id=vc_id, initiator=initiator, reason=reason),
-            )
+        peers = (vc.remote,) if isinstance(vc, RecvVC) else vc.receivers
+        for peer in peers:
+            if peer.node != informed:
+                self._send_control(
+                    peer.node,
+                    DisconnectTPDU(vc_id=vc_id, initiator=initiator,
+                                   reason=reason),
+                )
         # Notify a distinct initiator, whichever end released (section
         # 3.5: responses go to both initiator and source addresses).
-        if record is not None:
+        if record is not None and record.request is not None:
             req = record.request
             if req.initiator != req.src:
                 self._send_control(
@@ -986,7 +994,7 @@ class TransportEntity:
             return
         binding = self.bindings.get(vc.local.tsap)
         self._release_local_vc(tpdu.vc_id, tpdu.initiator, tpdu.reason,
-                               notify_peer=False)
+                               informed=sender)
         if binding is not None:
             binding.deliver(
                 TDisconnectIndication(
@@ -1120,8 +1128,7 @@ class TransportEntity:
                     args={"outage_s": self.sim.now - state.outage_since},
                 )
             binding = self.bindings.get(request.dst.tsap)
-            self._release_local_vc(request.vc_id, request.dst, REASON_OUTAGE,
-                                   notify_peer=True)
+            self._release_local_vc(request.vc_id, request.dst, REASON_OUTAGE)
             if binding is not None:
                 binding.deliver(
                     TDisconnectIndication(

@@ -2,9 +2,11 @@
 
 :class:`SendVC` runs at the source: it drains the shared circular
 buffer, paces transmission with the selected flow-control machine, and
-serves retransmission requests.  :class:`RecvVC` runs at the sink: it
-reorders/recovers arriving units, deposits them into the gated receive
-buffer, returns credits, and feeds the QoS monitor.
+serves retransmission requests.  It serves a unicast VC and a 1:N
+group alike (paper sections 3.8 and 7): a unicast VC is a group of
+one receiver.  :class:`RecvVC` runs at each sink: it reorders/recovers
+arriving units, deposits them into the gated receive buffer, returns
+credits, and feeds the QoS monitor.
 
 Orchestration coupling (paper section 6.2.1: "a close implementation
 relationship between the LLO and the transport service") is exposed as
@@ -16,9 +18,10 @@ local LLO instance invokes.
 from __future__ import annotations
 
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.netsim.packet import Packet, Priority
+from repro.netsim.topology import Network
 from repro.sim.scheduler import Process, Simulator
 from repro.transport.addresses import TransportAddress
 from repro.transport.buffers import (
@@ -58,26 +61,38 @@ def _data_priority(guarantee: Guarantee) -> Priority:
 
 
 class SendVC:
-    """Source-side protocol machine for one simplex VC."""
+    """Source-side protocol machine for one simplex VC or 1:N group.
+
+    Every receiver of a group gets each unit down the source-rooted
+    tree in one transmission; the credit loop lets the source run at
+    most the pipeline depth ahead of the *slowest* receiver; a repair
+    goes only to the receiver that asked, so one lossy branch does not
+    re-flood the tree.
+    """
 
     def __init__(
         self,
         sim: Simulator,
-        send_packet: Callable[[Packet], None],
+        network: Network,
         vc_id: str,
         local: TransportAddress,
-        remote: TransportAddress,
+        receivers: Tuple[TransportAddress, ...],
         contract: QoSContract,
         profile: ProtocolProfile,
         cos: ClassOfService,
         buffer_osdus: int = DEFAULT_BUFFER_OSDUS,
-        initial_credits: int = DEFAULT_BUFFER_OSDUS,
     ):
         self.sim = sim
-        self._send_packet = send_packet
+        self.network = network
+        self._send_packet = network.send
         self.vc_id = vc_id
         self.local = local
-        self.remote = remote
+        self.receivers = receivers
+        #: Where a first transmission goes: the one receiver's node, or
+        #: None for the whole group down its tree.
+        self._dst: Optional[str] = (
+            receivers[0].node if len(receivers) == 1 else None
+        )
         self.contract = contract
         self.profile = profile
         self.cos = cos
@@ -88,11 +103,13 @@ class SendVC:
         #: the per-OSDU path.
         self._track = sys.intern(f"vc:{vc_id}")
         self._priority = _data_priority(cos.guarantee)
-        #: Whether transmitted TPDUs are parked in the retransmit
-        #: cache.  Cached TPDUs are aliased by in-flight packets, so
-        #: only uncached sends may use the recycled-TPDU fast path.
+        #: Whether transmitted TPDUs are parked in the retransmit cache.
         self._cache_sends = (cos.error_correction
                              or profile is ProtocolProfile.WINDOW_BASED)
+        #: Whether first transmissions use the recycled-TPDU fast path.
+        #: A cached TPDU is aliased by the cache, and a group's by every
+        #: tree copy, so neither may be pooled.
+        self._pool_sends = not self._cache_sends and self._dst is not None
         self._cache: Dict[int, DataTPDU] = {}
         self.sent_count = 0
         self.retransmit_count = 0
@@ -105,7 +122,10 @@ class SendVC:
                 sim, contract.throughput_bps
             )
             self.window: Optional[WindowBasedFlowControl] = None
-            self._credits = TimedSemaphore(sim, initial_credits)
+            self._credits = TimedSemaphore(sim, buffer_osdus)
+            #: Cumulative credit grant per receiver node; the credits
+            #: released so far are their minimum.
+            self._grants: Dict[str, int] = {r.node: 0 for r in receivers}
             self._credits_seen = 0
         else:
             self.flow = None  # type: ignore[assignment]
@@ -193,10 +213,12 @@ class SendVC:
             notices = None
         now = self.sim._now
         backlogged = len(self.buffer) > 0
-        if self._cache_sends:
-            # Cached for retransmission: the in-flight object and the
-            # cache entry are the same reference, so it must never be
-            # pooled (the receiver's release becomes a no-op).
+        if self._pool_sends:
+            tpdu = DataTPDU.acquire(
+                self.vc_id, osdu, osdu.seq, now, now,
+                dropped_seqs=notices, backlogged=backlogged,
+            )
+        else:
             tpdu = DataTPDU(
                 vc_id=self.vc_id,
                 osdu=osdu,
@@ -206,29 +228,31 @@ class SendVC:
                 backlogged=backlogged,
                 dropped_seqs=notices if notices is not None else [],
             )
-            cache = self._cache
-            cache[osdu.seq] = tpdu
-            if len(cache) > RETRANSMIT_CACHE:
-                # Inserted in increasing seq: the first key is the oldest.
-                del cache[next(iter(cache))]
-        else:
-            tpdu = DataTPDU.acquire(
-                self.vc_id, osdu, osdu.seq, now, now,
-                dropped_seqs=notices, backlogged=backlogged,
-            )
+            if self._cache_sends:
+                cache = self._cache
+                cache[osdu.seq] = tpdu
+                if len(cache) > RETRANSMIT_CACHE:
+                    # Inserted in increasing seq: the first key is the oldest.
+                    del cache[next(iter(cache))]
         self.sent_count += 1
-        self._send(tpdu, osdu.size_bytes)
+        self._send(tpdu, osdu.size_bytes, self._dst)
 
-    def _send(self, tpdu: DataTPDU, payload_bytes: int) -> None:
+    def _send(self, tpdu: DataTPDU, payload_bytes: int,
+              dst: Optional[str]) -> None:
+        """Put ``tpdu`` on the wire to node ``dst``, or to every
+        receiver down the group tree when ``dst`` is None."""
         size_bits = int((payload_bytes + DATA_HEADER_BYTES + OPDU.WIRE_BYTES) * 8)
-        packet = Packet.acquire(
-            self.local.node,
-            self.remote.node,
-            tpdu,
-            size_bits,
-            self._priority,
-            self.vc_id,
-        )
+        if dst is not None:
+            packet = Packet.acquire(
+                self.local.node, dst, tpdu, size_bits, self._priority,
+                self.vc_id,
+            )
+        else:
+            # Every tree copy aliases this packet: it is never pooled.
+            packet = Packet(
+                self.local.node, f"group:{self.vc_id}", tpdu, size_bits,
+                self._priority, self.vc_id,
+            )
         trace = self.sim.trace
         if trace.packets:
             # Causal parent: TPDU -> netsim packet id (the auditor's
@@ -242,30 +266,45 @@ class SendVC:
                     "kind": "data",
                 },
             )
-        self._send_packet(packet)
+        if dst is not None:
+            self._send_packet(packet)
+        else:
+            self.network.send_multicast(
+                packet, [receiver.node for receiver in self.receivers]
+            )
 
     # -- feedback from the receiver -------------------------------------------
 
-    def on_credit(self, cumulative_credits: int,
-                  from_node: Optional[str] = None) -> None:
-        """Apply a (cumulative) credit grant from the receiver.
+    def on_credit(self, cumulative_credits: int, from_node: str) -> None:
+        """Apply a (cumulative) credit grant from receiver ``from_node``.
 
         Credits are carried as a running total so that lost CreditTPDUs
-        are repaired by any later one.  ``from_node`` identifies the
-        granting receiver; a unicast VC has exactly one and ignores it.
+        are repaired by any later one.  Send credits are released as
+        the minimum over the receivers advances: the slowest receiver
+        gates a group.
         """
         if self._credits is None:
             return
-        fresh = cumulative_credits - self._credits_seen
+        grants = self._grants
+        # Stale, or from a node that is not a receiver: nothing to do.
+        if cumulative_credits <= grants.get(from_node, cumulative_credits):
+            return
+        grants[from_node] = cumulative_credits
+        low = min(grants.values())
+        fresh = low - self._credits_seen
         if fresh <= 0:
             return
-        self._credits_seen = cumulative_credits
+        self._credits_seen = low
         for _ in range(fresh):
             self._credits.release()
 
     def on_nack(self, missing: List[int],
                 from_node: Optional[str] = None) -> None:
-        """Selective retransmission (rate profile with correction)."""
+        """Selective retransmission (rate profile with correction).
+
+        Each repair goes to ``from_node``, the receiver that asked, or
+        down the tree to every receiver when no one node asked.
+        """
         trace = self.sim.trace
         if trace.enabled:
             trace.instant(
@@ -290,7 +329,7 @@ class SendVC:
                     "retransmit", track=self._track, cat="recovery",
                     args={"seq": seq},
                 )
-            self._send(retransmission, cached.osdu.size_bytes)
+            self._send(retransmission, cached.osdu.size_bytes, from_node)
 
     def on_ack(self, cumulative_seq: int,
                advertised: Optional[int] = None) -> None:
@@ -324,13 +363,13 @@ class SendVC:
                 sent_at_local=self.sim.now,
                 is_retransmission=True,
             )
-            self._send(retransmission, cached.osdu.size_bytes)
+            self._send(retransmission, cached.osdu.size_bytes, self._dst)
 
     # -- outage recovery (source side) ------------------------------------------
 
     @property
     def credits_seen(self) -> int:
-        """Cumulative credit total acknowledged from the sink.
+        """Cumulative credit total acknowledged by every receiver.
 
         Monotonic while the credit loop is alive; the degradation
         machinery uses *progress* of this value as its path-recovered

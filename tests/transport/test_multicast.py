@@ -7,6 +7,7 @@ from repro.netsim.link import BernoulliLoss
 from repro.transport.addresses import TransportAddress
 from repro.transport.multicast import create_multicast
 from repro.transport.osdu import OSDU
+from repro.transport.primitives import TDisconnectIndication, TDisconnectRequest
 from repro.transport.profiles import ClassOfService
 from repro.transport.qos import QoSSpec
 from repro.transport.service import ConnectionRefused
@@ -210,3 +211,55 @@ class TestMulticastFlowControl:
             assert group.vc_id not in bed.entities[f"sink{i}"].recv_vcs
         uplink = bed.network.graph.edges["src", "r"]["link"]
         assert bed.reservations.committed_bps(uplink) == 0.0
+
+
+def primitives_at(bed, node, tsap=1):
+    """Every indication/confirm queued for the user at ``node``."""
+    queue = bed.entities[node].bindings[tsap].primitives
+    return [queue.get_nowait() for _ in range(len(queue))]
+
+
+class TestMulticastRelease:
+    def group(self):
+        bed = star(2)
+        group = create_multicast(
+            bed.entities, TransportAddress("src", 1),
+            [TransportAddress("sink0", 1), TransportAddress("sink1", 1)],
+            qos(),
+        )
+        return bed, group
+
+    def assert_released_everywhere(self, bed, group):
+        for entity in bed.entities.values():
+            assert group.vc_id not in entity.send_vcs
+            assert group.vc_id not in entity.recv_vcs
+        uplink = bed.network.graph.edges["src", "r"]["link"]
+        assert bed.reservations.committed_bps(uplink) == 0.0
+
+    def test_disconnect_at_source_releases_every_end(self):
+        bed, group = self.group()
+        src = TransportAddress("src", 1)
+        bed.entities["src"].request(
+            TDisconnectRequest(initiator=src, vc_id=group.vc_id)
+        )
+        bed.run(0.5)
+        self.assert_released_everywhere(bed, group)
+        for node in ("sink0", "sink1"):
+            indications = primitives_at(bed, node)
+            assert [type(p) for p in indications] == [TDisconnectIndication]
+            assert indications[0].initiator == src
+
+    def test_disconnect_at_one_sink_releases_every_end(self):
+        bed, group = self.group()
+        sink1 = TransportAddress("sink1", 1)
+        bed.entities["sink1"].request(
+            TDisconnectRequest(initiator=sink1, vc_id=group.vc_id)
+        )
+        bed.run(0.5)
+        self.assert_released_everywhere(bed, group)
+        # The source and the other sink hear of it; the asker does not.
+        for node in ("src", "sink0"):
+            indications = primitives_at(bed, node)
+            assert [type(p) for p in indications] == [TDisconnectIndication]
+            assert indications[0].initiator == sink1
+        assert primitives_at(bed, "sink1") == []

@@ -87,6 +87,37 @@ class TestMulticastNegotiation:
                 strict,
             )
 
+    def test_group_offer_is_the_worst_unicast_offer(self):
+        """The group is offered what a unicast VC to its worst sink is
+        offered, so a delay bound that sink misses refuses the group."""
+        from repro.transport.service import connect_pair
+
+        def spec(delay_bound):
+            return QoSSpec(
+                throughput=throughput(2e6, 1e6),
+                delay=delay(0.0, delay_bound),
+                jitter=Tolerance(0.0, 1.0),
+                packet_error_rate=Tolerance(0.0, 1.0),
+                bit_error_rate=Tolerance(0.0, 1.0),
+                max_osdu_bytes=1000,
+            )
+
+        bed = asymmetric_bed()
+        sinks = [TransportAddress("sink0", 1), TransportAddress("sink1", 1)]
+        far, _recv = connect_pair(
+            bed.sim, bed.entities, TransportAddress("src", 5),
+            TransportAddress("sink1", 5), spec(1.0),
+        )
+        group = create_multicast(
+            bed.entities, TransportAddress("src", 1), sinks, spec(1.0),
+        )
+        assert group.send_endpoint.contract == far.contract
+        with pytest.raises(ConnectionRefused):
+            create_multicast(
+                bed.entities, TransportAddress("src", 2), sinks,
+                spec(far.contract.delay_s * (1 - 1e-4)),
+            )
+
     def test_empty_sink_list_rejected(self):
         bed = asymmetric_bed()
         with pytest.raises((ValueError, ConnectionRefused)):

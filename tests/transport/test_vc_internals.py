@@ -7,6 +7,7 @@ from repro.netsim.topology import Network
 from repro.sim.random import RandomStreams
 from repro.sim.scheduler import Timer
 from repro.transport.addresses import TransportAddress
+from repro.transport.multicast import create_multicast
 from repro.transport.osdu import OSDU
 from repro.transport.qos import QoSSpec
 from repro.transport.profiles import ClassOfService, ProtocolProfile
@@ -29,6 +30,31 @@ def make(sim, buffer_osdus=8, throughput=2e6, **connect_kwargs):
     send_vc = entities["a"].send_vcs[send.vc_id]
     recv_vc = entities["b"].recv_vcs[recv.vc_id]
     return entities, send, recv, send_vc, recv_vc
+
+
+def make_group(sim):
+    """A 1:2 group from a to b and c, shaped like make(): b is the end
+    under test, and c reads whatever reaches it."""
+    net = Network(sim, RandomStreams(55))
+    for node in "abc":
+        net.add_host(node)
+    net.add_link("a", "b", 10e6, prop_delay=0.004)
+    net.add_link("a", "c", 10e6, prop_delay=0.004)
+    entities = build_transport(sim, net, ReservationManager(net))
+    qos = QoSSpec.simple(2e6, max_osdu_bytes=1000, buffer_osdus=8)
+    group = create_multicast(
+        entities, TransportAddress("a", 1),
+        [TransportAddress("b", 1), TransportAddress("c", 1)], qos,
+    )
+
+    def drain():
+        while True:
+            yield from group.recv_endpoints["c"].read()
+
+    sim.spawn(drain())
+    recv_vc = entities["b"].recv_vcs[group.vc_id]
+    return (entities, group.send_endpoint, group.recv_endpoints["b"],
+            group.send_vc, recv_vc)
 
 
 class TestCreditLoop:
@@ -125,8 +151,17 @@ class TestSourceDrops:
 
 
 class TestFlushEpoch:
-    def test_flush_announces_all_queued_seqs(self, sim):
-        entities, send, recv, send_vc, recv_vc = make(sim)
+    """Flush epochs on a unicast VC; :class:`TestGroupFlushEpoch` runs
+    the same cases on a 1:2 group."""
+
+    make = staticmethod(make)
+
+    @pytest.fixture
+    def ends(self, sim):
+        return self.make(sim)
+
+    def test_flush_announces_all_queued_seqs(self, sim, ends):
+        entities, send, recv, send_vc, recv_vc = ends
         recv_vc.close_gate()
 
         def producer():
@@ -140,19 +175,23 @@ class TestFlushEpoch:
         assert flushed == queued
         assert send_vc.buffer.dropped_at_source == 0  # administrative
 
-    def test_blocked_write_across_flush_is_retracted(self, sim):
-        entities, send, recv, send_vc, recv_vc = make(sim)
+    def test_blocked_write_across_flush_is_retracted(self, sim, ends):
+        entities, send, recv, send_vc, recv_vc = ends
         recv_vc.close_gate()
+        written = []
         delivered = []
 
         def producer():
             # More writes than pipeline + buffer: the last write blocks.
             for i in range(30):
                 yield from send.write(OSDU(size_bytes=500, payload=i))
+                written.append(i)
 
         sim.spawn(producer())
         sim.run(until=sim.now + 2.0)
         send_vc.flush()
+        parked = len(written)  # the write blocked across the flush
+        assert parked < 30
         recv_vc.flush()
         recv_vc.open_gate()
 
@@ -163,19 +202,24 @@ class TestFlushEpoch:
 
         sim.spawn(consumer())
         sim.run(until=sim.now + 5.0)
-        # Whatever is delivered post-flush is contiguous new data; the
-        # single write that was parked across the flush did not leak an
-        # out-of-epoch unit into the middle of the stream.
+        # The write parked across the flush is pre-seek data: it never
+        # reaches the sink, and what follows it is contiguous new data.
+        assert parked not in delivered
+        assert parked + 1 in delivered
         assert delivered == sorted(delivered)
 
-    def test_oversized_write_rejected_without_seq_leak(self, sim):
-        entities, send, recv, send_vc, recv_vc = make(sim)
+    def test_oversized_write_rejected_without_seq_leak(self, sim, ends):
+        entities, send, recv, send_vc, recv_vc = ends
         with pytest.raises(ValueError):
             send.try_write(OSDU(size_bytes=5000))
         assert send.try_write(OSDU(size_bytes=100, payload="ok"))
         sim.run(until=sim.now + 1.0)
         got = recv.try_read()
         assert got is not None and got.seq == 0
+
+
+class TestGroupFlushEpoch(TestFlushEpoch):
+    make = staticmethod(make_group)
 
 
 class TestRetransmitCache:
