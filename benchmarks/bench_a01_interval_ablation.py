@@ -28,8 +28,7 @@ PLAY_SECONDS = 30.0
 def run_case(interval_length: float):
     bed = film_testbed(seed=53, drift_ppm=300.0)
     counted = {"opdus": 0}
-    for _u, _v, data in bed.network.graph.edges(data=True):
-        link = data["link"]
+    for link in bed.network.links():
         original = link.send
 
         def counting_send(packet, _original=original):

@@ -66,7 +66,7 @@ def run_case(depth: int):
         yield from agent.start()
         yield Timer(bed.sim).after(5.0)
         # Freeze the srv->ws link by zeroing its delivery for OUTAGE.
-        link = bed.network.graph.edges["srv", "ws"]["link"]
+        link = bed.network.link_between("srv", "ws")
         saved = link.on_deliver
         held = []
         link.on_deliver = held.append

@@ -72,8 +72,7 @@ def opdu_traffic(place_remote: bool, seconds: float = 10.0):
     from repro.orchestration.opdu import ControlOPDU
 
     counted = {"opdus": 0}
-    for _u, _v, data in bed.network.graph.edges(data=True):
-        link = data["link"]
+    for link in bed.network.links():
         original = link.send
 
         def counting_send(packet, _original=original):

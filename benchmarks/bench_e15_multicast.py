@@ -75,7 +75,7 @@ def run_unicast(n):
                 out.append(osdu.payload)
         return proc
 
-    uplink = bed.network.graph.edges["src", "r"]["link"]
+    uplink = bed.network.link_between("src", "r")
     before_bits = uplink.stats.sent_bits
     for send in sends:
         bed.spawn(producer(send)())
@@ -120,7 +120,7 @@ def run_multicast(n):
                 received[i].append(osdu.payload)
         return proc
 
-    uplink = bed.network.graph.edges["src", "r"]["link"]
+    uplink = bed.network.link_between("src", "r")
     before_bits = uplink.stats.sent_bits
     bed.spawn(producer())
     for i in range(n):

@@ -1,6 +1,6 @@
 """CI perf-smoke gate on ledger workloads' exact counts (not seconds).
 
-Runs the ledger's traced seed-1 rep (``perf/run.py``) of three
+Runs the ledger's traced seed-1 rep (``perf/run.py``) of four
 workloads and fails unless every count below holds and the run's
 ``sim_digest`` equals the one recorded for that workload and seed in
 ``perf/LEDGER.json`` (read-only): no count was bought by changing what
@@ -20,6 +20,10 @@ is simulated.
     go-back-N cancels take the timer-parking and interrupt paths of the
     process kernel that the film workloads leave idle, so a wake-up
     that lands out of order shows here.
+``fleet_shards2``
+    The ``sim_digest`` alone.  Its cross-shard cells route to ghost
+    egress destinations, which no other workload does, so a route or
+    next-hop change that moves a shard's traffic shows here.
 
 All of it repeats exactly on any host, so there is no calibration and
 no threshold to tune.
@@ -57,6 +61,7 @@ ROWS: Dict[str, List[Check]] = {
          lambda value, recorded: value == recorded),
     ],
     "lossy_mixed": [],
+    "fleet_shards2": [],
 }
 
 

@@ -38,7 +38,7 @@ def main() -> None:
         qos,
         cos=ClassOfService.detect_and_correct(),
     )
-    uplink = bed.network.graph.edges["lecturer", "campus"]["link"]
+    uplink = bed.network.link_between("lecturer", "campus")
     print(f"group {group.vc_id}: {booths} booths, uplink reserves "
           f"{bed.reservations.committed_bps(uplink)/1e6:.1f} Mbit/s "
           f"(one stream, not {booths})")

@@ -9,13 +9,14 @@ provides:
   jitter, loss and bit-error models, a finite buffer, and two service
   priorities (reserved/control above best-effort).
 - :class:`Host` / :class:`Router` -- end-systems and forwarders.
-- :class:`Network` -- topology + shortest-path routing + delivery.
+- :class:`Network` -- topology + shortest-path routing + next-hop
+  delivery.
 - :class:`ReservationManager` -- ST-II-like per-hop resource
   reservation and admission control (paper section 3.3 and 7 assume
   such a protocol, citing ST-II [Topolcic,90] and SRP [Anderson,91]).
-- :mod:`repro.netsim.faults` -- fault mechanisms (link down/up, rate
-  squeeze, loss burst, router crash) driven by :mod:`repro.faults`
-  plans.
+- :mod:`repro.netsim.faults` -- the :class:`FaultLedger` that applies
+  :mod:`repro.faults` plans (link down/up, rate squeeze, loss burst,
+  router crash) so overlapping episodes compose.
 - :mod:`repro.netsim.partition` / :mod:`repro.netsim.boundary` --
   topology partitioning and boundary links for sharded multi-process
   runs (see ``docs/SCALING.md``).
@@ -41,14 +42,6 @@ from repro.netsim.partition import (
     PartitionError,
     TopologyPartition,
     partition_topology,
-)
-from repro.netsim.faults import (
-    begin_loss_burst,
-    begin_squeeze,
-    crash_node,
-    restart_node,
-    restore_link,
-    take_link_down,
 )
 from repro.netsim.reservation import (
     AdmissionError,
@@ -80,11 +73,5 @@ __all__ = [
     "TruncatedGaussianJitter",
     "UniformJitter",
     "attach_egress",
-    "begin_loss_burst",
-    "begin_squeeze",
-    "crash_node",
     "partition_topology",
-    "restart_node",
-    "restore_link",
-    "take_link_down",
 ]

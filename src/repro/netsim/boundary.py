@@ -193,15 +193,11 @@ def attach_egress(network: Network, cut: CutLink,
                   outbox: Outbox) -> BoundaryLink:
     """Wire a cut's egress half into a shard-local network.
 
-    Builds the :class:`BoundaryLink`, attaches it to the (local) source
-    node and records a graph edge to the (remote, ghost) destination
-    name so routing treats the cut like any other hop.  Returns the
+    Builds the :class:`BoundaryLink` and attaches it to the (local)
+    source node, which makes the (remote, ghost) destination name
+    routable so routing treats the cut like any other hop.  Returns the
     link.
     """
     link = BoundaryLink(network.sim, cut, outbox)
-    network.nodes[cut.src].attach_link(link)
-    network.graph.add_edge(
-        cut.src, cut.dst, weight=cut.prop_delay, link=link
-    )
-    network._routes.clear()
+    network.attach(link)
     return link

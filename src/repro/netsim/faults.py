@@ -7,21 +7,16 @@ router.  The *policy* half (which fault happens when) lives in
 :mod:`repro.faults`, whose injector schedules these operations on the
 simulator.
 
-Two API levels coexist:
-
-- The standalone ``begin_*``/``take_*`` functions capture and restore
-  state for *one* episode.  They are correct in isolation but -- as
-  chaos plans surfaced -- restoring captured state composes wrongly
-  when two episodes overlap on the same target: the earlier episode's
-  end puts back *pre-episode* state and silently clobbers the still
-  active later episode.
-- :class:`FaultLedger` composes.  It tracks, per target, the pristine
-  base state plus every active episode (refcounted outages and
-  crashes, multiplicative squeeze factors, a loss-model stack), so
-  ending any one episode leaves every other active episode in force
-  and the base state is restored -- object identity included -- only
-  when the last overlapping episode ends.  The injector routes all
-  episodes through a ledger.
+:class:`FaultLedger` is the one API.  Restoring state captured per
+episode composes wrongly when two episodes overlap on the same target
+(the earlier episode's end puts back *pre-episode* state and clobbers
+the still active later one), so the ledger tracks, per target, the
+pristine base state plus every active episode (refcounted outages and
+crashes, multiplicative squeeze factors, a loss-model stack).  Ending
+any one episode leaves every other active episode in force, and the
+base state is restored -- object identity included -- only when the
+last overlapping episode ends.  The injector routes all episodes
+through a ledger.
 """
 
 from __future__ import annotations
@@ -33,94 +28,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.netsim.link import Link, LossModel
 from repro.netsim.node import Router
 from repro.netsim.topology import Network
-
-
-def take_link_down(network: Network, src: str, dst: str) -> Link:
-    """Carrier loss on the directed link ``src -> dst``; returns the link."""
-    link = network.link_between(src, dst)
-    link.set_down()
-    return link
-
-
-def restore_link(network: Network, src: str, dst: str) -> Link:
-    """Restore carrier on the directed link ``src -> dst``; returns the link."""
-    link = network.link_between(src, dst)
-    link.set_up()
-    return link
-
-
-@dataclass
-class SqueezeState:
-    """Undo record for a bandwidth squeeze: the link and its prior rate."""
-
-    link: Link
-    original_bps: float
-
-    def restore(self) -> None:
-        """Put the link's serialisation rate back where it was."""
-        self.link.set_rate(self.original_bps)
-
-
-def begin_squeeze(network: Network, src: str, dst: str, factor: float) -> SqueezeState:
-    """Scale the rate of ``src -> dst`` by ``factor``; returns the undo record."""
-    link = network.link_between(src, dst)
-    original = link.scale_rate(factor)
-    return SqueezeState(link, original)
-
-
-@dataclass
-class LossBurstState:
-    """Undo record for a loss burst: the link and its prior loss model."""
-
-    link: Link
-    original_loss: LossModel
-
-    def restore(self) -> None:
-        """Reinstall the loss model that was active before the burst."""
-        self.link.loss = self.original_loss
-
-
-def begin_loss_burst(
-    network: Network, src: str, dst: str, loss: LossModel
-) -> LossBurstState:
-    """Swap a harsher loss model onto ``src -> dst``; returns the undo record."""
-    link = network.link_between(src, dst)
-    state = LossBurstState(link, link.loss)
-    link.loss = loss
-    return state
-
-
-def crash_node(network: Network, name: str) -> Router:
-    """Fail-stop the router ``name``; returns it.
-
-    Only routers crash in this model: a host crash would take its
-    protocol entities with it, which is an application-level scenario
-    (the paper's end-systems are assumed to stay up while the *network*
-    degrades).
-    """
-    node = network.nodes[name]
-    if not isinstance(node, Router):
-        raise TypeError(
-            f"node {name!r} is a {type(node).__name__}; only routers crash"
-        )
-    node.crash()
-    return node
-
-
-def restart_node(network: Network, name: str) -> Router:
-    """Restart the crashed router ``name``; returns it."""
-    node = network.nodes[name]
-    if not isinstance(node, Router):
-        raise TypeError(
-            f"node {name!r} is a {type(node).__name__}; only routers restart"
-        )
-    node.restart()
-    return node
-
-
-# ---------------------------------------------------------------------------
-# Composing ledger
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -174,8 +81,7 @@ class FaultLedger:
     One ledger per injector (or per test).  All mutations of a target
     must go through the same ledger for composition to hold; state
     changed behind the ledger's back while episodes are active is
-    overwritten on recomposition, exactly like the standalone
-    functions.
+    overwritten on recomposition.
 
     Composition rules:
 
@@ -269,24 +175,39 @@ class FaultLedger:
     # -- crashes (refcounted) -------------------------------------------
 
     def crash(self, name: str) -> Router:
-        """One more crash episode on router ``name``; crashes on 0 -> 1."""
+        """One more crash episode on router ``name``; crashes on 0 -> 1.
+
+        Only routers crash in this model: a host crash would take its
+        protocol entities with it, which is an application-level
+        scenario (the paper's end-systems are assumed to stay up while
+        the *network* degrades).
+        """
+        node = self._router(name, "crash")
         count = self._crash_counts.get(name, 0)
-        node = (
-            crash_node(self.network, name)
-            if count == 0
-            else self.network.nodes[name]
-        )
+        if count == 0:
+            node.crash()
         self._crash_counts[name] = count + 1
         return node
 
     def restart(self, name: str) -> Router:
         """One crash episode over on ``name``; restarts on 1 -> 0."""
+        node = self._router(name, "restart")
         count = self._crash_counts.get(name, 0)
         if count <= 1:
             self._crash_counts.pop(name, None)
-            return restart_node(self.network, name)
-        self._crash_counts[name] = count - 1
-        return self.network.nodes[name]
+            node.restart()
+        else:
+            self._crash_counts[name] = count - 1
+        return node
+
+    def _router(self, name: str, verb: str) -> Router:
+        """The router ``name``; TypeError for any other kind of node."""
+        node = self.network.nodes[name]
+        if not isinstance(node, Router):
+            raise TypeError(
+                f"node {name!r} is a {type(node).__name__}; only routers {verb}"
+            )
+        return node
 
     # -- token retirement ------------------------------------------------
 

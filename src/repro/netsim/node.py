@@ -1,8 +1,10 @@
 """Hosts and routers.
 
 A :class:`Node` owns the outgoing :class:`~repro.netsim.link.Link`
-objects toward its neighbours.  A :class:`Router` forwards packets along
-the route computed by the :class:`~repro.netsim.topology.Network`.  A
+objects toward its neighbours and a next-hop table from destination to
+one of those links.  A :class:`Router` forwards packets along the route
+computed by the :class:`~repro.netsim.topology.Network`, which fills the
+table on a destination's first packet.  A
 :class:`Host` is an end-system: it has a drifting local clock (paper
 section 3.6) and a registry of payload handlers, which is how protocol
 entities (transport, orchestrator) attach to the network.
@@ -11,12 +13,15 @@ entities (transport, orchestrator) attach to the network.
 from __future__ import annotations
 
 import sys
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.netsim.link import Link
 from repro.netsim.packet import Packet
 from repro.sim.clock import NodeClock
 from repro.sim.scheduler import Simulator
+
+if TYPE_CHECKING:
+    from repro.netsim.topology import Network
 
 PacketHandler = Callable[[Packet], None]
 
@@ -28,6 +33,7 @@ class Node:
         self.sim = sim
         self.name = name
         self.links: Dict[str, Link] = {}  # neighbour name -> outgoing link
+        self.hops: Dict[str, Link] = {}  # destination name -> first-hop link
 
     def attach_link(self, link: Link) -> None:
         """Adopt an outgoing link originating at this node."""
@@ -37,13 +43,6 @@ class Node:
             )
         self.links[link.dst] = link
         link.on_deliver = None  # the Network wires delivery
-
-    def link_to(self, neighbour: str) -> Link:
-        """The outgoing link toward ``neighbour``; KeyError if none."""
-        try:
-            return self.links[neighbour]
-        except KeyError:
-            raise KeyError(f"{self.name!r} has no link to {neighbour!r}") from None
 
     def receive(self, packet: Packet) -> None:
         """Handle a packet delivered to this node (subclass hook)."""
@@ -57,16 +56,16 @@ class Node:
 class Router(Node):
     """Store-and-forward router.
 
-    ``forward`` is installed by the :class:`Network` and maps a
-    destination node name to the next-hop neighbour name.  For
+    A packet leaves on ``hops[dst]``; the first packet for ``dst`` asks
+    the :class:`Network` (``network.hop``) to fill that entry.  For
     multicast packets the router *splits*: one copy per distinct next
     hop, each carrying the subset of group targets reached through it
     -- source-rooted shortest-path-tree replication.
     """
 
-    def __init__(self, sim: Simulator, name: str):
+    def __init__(self, sim: Simulator, name: str, network: "Network"):
         super().__init__(sim, name)
-        self.forward: Callable[[str], str] = lambda dst: dst
+        self.network = network
         self.forwarded_packets = 0
         self.multicast_splits = 0
         self.crashed = False
@@ -107,27 +106,30 @@ class Router(Node):
         if packet.group_targets is not None:
             self._forward_multicast(packet)
             return
-        if packet.dst == self.name:
+        dst = packet.dst
+        if dst == self.name:
             return  # routers sink packets addressed to themselves
-        next_hop = self.forward(packet.dst)
+        link = self.hops.get(dst) or self.network.hop(self.name, dst)
         self.forwarded_packets += 1
-        self.link_to(next_hop).send(packet)
+        link.send(packet)
 
     def _forward_multicast(self, packet: Packet) -> None:
         """Split a multicast packet: one copy per distinct next hop."""
         from dataclasses import replace as dc_replace
 
-        branches: dict[str, list[str]] = {}
+        hops = self.hops
+        branches: dict[Link, list[str]] = {}
         for target in packet.group_targets:
             if target == self.name:
                 continue
-            branches.setdefault(self.forward(target), []).append(target)
+            link = hops.get(target) or self.network.hop(self.name, target)
+            branches.setdefault(link, []).append(target)
         if len(branches) > 1:
             self.multicast_splits += 1
-        for next_hop, targets in branches.items():
+        for link, targets in branches.items():
             copy = dc_replace(packet, group_targets=tuple(targets))
             self.forwarded_packets += 1
-            self.link_to(next_hop).send(copy)
+            link.send(copy)
 
 
 class Host(Node):

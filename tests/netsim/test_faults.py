@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.netsim.faults import (
-    begin_loss_burst,
-    begin_squeeze,
-    crash_node,
-    restart_node,
-    restore_link,
-    take_link_down,
-)
+from repro.netsim.faults import FaultLedger
 from repro.netsim.link import JitterModel, Link
 from repro.netsim.packet import Packet, Priority
 from repro.netsim.topology import Network
@@ -188,18 +181,19 @@ class TestRouterCrash:
 class TestFaultMechanisms:
     def test_take_down_and_restore_by_name(self, sim):
         net = star_network(sim)
-        take_link_down(net, "a", "r")
+        ledger = FaultLedger(net)
+        ledger.link_down("a", "r")
         assert not net.link_between("a", "r").up
         assert net.link_between("r", "a").up      # simplex: one direction
-        restore_link(net, "a", "r")
+        ledger.link_up("a", "r")
         assert net.link_between("a", "r").up
 
     def test_squeeze_state_restores_original_rate(self, sim):
         net = star_network(sim)
         link = net.link_between("a", "r")
-        state = begin_squeeze(net, "a", "r", factor=0.25)
+        token = FaultLedger(net).begin_squeeze("a", "r", factor=0.25)
         assert link.bandwidth_bps == pytest.approx(2.5e6)
-        state.restore()
+        token.restore()
         assert link.bandwidth_bps == pytest.approx(10e6)
 
     def test_loss_burst_swaps_and_restores_loss_model(self, sim):
@@ -209,16 +203,19 @@ class TestFaultMechanisms:
         link = net.link_between("a", "r")
         original = link.loss
         assert isinstance(original, NoLoss)
-        state = begin_loss_burst(net, "a", "r", BernoulliLoss(0.5))
+        token = FaultLedger(net).begin_loss_burst("a", "r", BernoulliLoss(0.5))
         assert isinstance(link.loss, BernoulliLoss)
-        state.restore()
+        token.restore()
         assert link.loss is original
 
     def test_crash_requires_router(self, sim):
         net = star_network(sim)
+        ledger = FaultLedger(net)
         with pytest.raises(TypeError):
-            crash_node(net, "a")
-        crash_node(net, "r")
+            ledger.crash("a")
+        with pytest.raises(TypeError):
+            ledger.restart("a")
+        ledger.crash("r")
         assert net.nodes["r"].crashed
-        restart_node(net, "r")
+        ledger.restart("r")
         assert not net.nodes["r"].crashed

@@ -52,13 +52,13 @@ class TestMulticastRouting:
         tree.send_multicast(packet, ["a", "b", "c", "d"])
         sim.run()
         # src->r1 is shared by all four: one copy.
-        assert tree.graph.edges["src", "r1"]["link"].stats.sent_packets == 1
+        assert tree.link_between("src", "r1").stats.sent_packets == 1
         # r1->r2 is shared by c and d: one copy.
-        assert tree.graph.edges["r1", "r2"]["link"].stats.sent_packets == 1
+        assert tree.link_between("r1", "r2").stats.sent_packets == 1
         # Each leaf link carries its own copy.
         for router, leaf in (("r1", "a"), ("r1", "b"), ("r2", "c"),
                              ("r2", "d")):
-            link = tree.graph.edges[router, leaf]["link"]
+            link = tree.link_between(router, leaf)
             assert link.stats.sent_packets == 1
 
     def test_routers_split_at_branch_points(self, sim, tree):
@@ -76,7 +76,7 @@ class TestMulticastRouting:
         sim.run()
         assert len(got["a"]) == 1
         assert got["b"] == got["c"] == got["d"] == []
-        assert tree.graph.edges["r1", "r2"]["link"].stats.sent_packets == 0
+        assert tree.link_between("r1", "r2").stats.sent_packets == 0
 
     def test_source_in_target_set_gets_local_copy(self, sim, tree):
         got = watch(tree, ["a"])

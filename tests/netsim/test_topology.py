@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.netsim.boundary import attach_egress
 from repro.netsim.packet import Packet
+from repro.netsim.partition import CutLink
 from repro.netsim.topology import Network
 from repro.sim.random import RandomStreams
+from repro.sim.shard import Outbox
 
 
 class Probe:
@@ -118,3 +121,67 @@ class TestDelivery:
         assert backward is None
         with pytest.raises(ValueError):
             net.route("t", "s")
+
+    def test_linkless_node_routes_to_itself(self, sim):
+        net = Network(sim, RandomStreams(0))
+        net.add_router("lonely")
+        assert net.route("lonely", "lonely") == ["lonely"]
+        with pytest.raises(ValueError):
+            net.route("lonely", "nowhere")
+
+    def test_links_in_creation_order(self, triangle):
+        assert [(link.src, link.dst) for link in triangle.links()] == [
+            ("a", "r"), ("a", "b"), ("b", "r"), ("b", "a"),
+            ("r", "a"), ("r", "b"),
+        ]
+
+
+def _connect_direct(net, src, dst, delay):
+    return net.add_link(src, dst, 10e6, prop_delay=delay, bidirectional=False)[0]
+
+
+def _connect_egress(net, src, dst, delay):
+    cut = CutLink(src=src, dst=dst, src_shard=0, dst_shard=1,
+                  bandwidth_bps=10e6, prop_delay=delay)
+    return attach_egress(net, cut, Outbox())
+
+
+class TestNextHopTables:
+    """A cached next hop must follow a topology change.
+
+    Hosts ``a`` and ``h`` send to ``d`` over simplex links through
+    router ``r`` (5 ms last hop), caching ``d``'s next hop at ``a`` and at ``r``.  Then a
+    1 ms ``a -> d`` link and a ``r2 -> d`` link (making ``r -> r2 -> d``
+    cheaper) appear.  The next packets must leave ``a`` and ``r`` on the
+    new paths.  ``d`` is a host joined by :meth:`Network.add_link`, or a
+    ghost joined by :func:`attach_egress`.
+    """
+
+    @pytest.mark.parametrize("connect", [_connect_direct, _connect_egress],
+                             ids=["add_link", "attach_egress"])
+    def test_cheaper_path_takes_over_at_host_and_router(self, sim, connect):
+        net = Network(sim, RandomStreams(0))
+        for host in ("a", "h"):
+            net.add_host(host)
+        net.add_router("r")
+        net.add_router("r2")
+        if connect is _connect_direct:
+            net.add_host("d")
+        for src, dst in (("a", "r"), ("h", "r"), ("r", "r2")):
+            _connect_direct(net, src, dst, 0.001)
+        slow = connect(net, "r", "d", 0.005)
+        for src in ("a", "h"):
+            net.send(probe_packet(src, "d"))
+        sim.run()
+        assert slow.stats.sent_packets == 2
+        assert net.nodes["a"].hops["d"] is net.link_between("a", "r")
+        assert net.nodes["r"].hops["d"] is slow
+
+        direct = connect(net, "a", "d", 0.001)
+        detour = connect(net, "r2", "d", 0.001)
+        for src in ("a", "h"):
+            net.send(probe_packet(src, "d"))
+        sim.run()
+        assert direct.stats.sent_packets == 1
+        assert detour.stats.sent_packets == 1
+        assert slow.stats.sent_packets == 2

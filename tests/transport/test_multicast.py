@@ -67,7 +67,7 @@ class TestMulticastDelivery:
             [TransportAddress(f"sink{i}", 1) for i in range(4)],
             qos(),
         )
-        uplink = bed.network.graph.edges["src", "r"]["link"]
+        uplink = bed.network.link_between("src", "r")
         before = uplink.stats.sent_packets
 
         def producer():
@@ -98,7 +98,7 @@ class TestMulticastDelivery:
         assert data_packets < 40
         # Each downlink carried its own copy.
         for i in range(4):
-            downlink = bed.network.graph.edges["r", f"sink{i}"]["link"]
+            downlink = bed.network.link_between("r", f"sink{i}")
             assert downlink.stats.delivered_packets >= 20
 
     def test_reservation_covers_tree_once(self):
@@ -110,7 +110,7 @@ class TestMulticastDelivery:
         )
         # 4 unique tree edges (uplink + 3 downlinks).
         assert len(group.reservation.links) == 4
-        uplink = bed.network.graph.edges["src", "r"]["link"]
+        uplink = bed.network.link_between("src", "r")
         assert bed.reservations.committed_bps(uplink) == pytest.approx(2e6)
 
     def test_admission_rejects_oversized_group_rate(self):
@@ -122,7 +122,7 @@ class TestMulticastDelivery:
                 QoSSpec.simple(5e6, slack=1.01, max_osdu_bytes=1000),
             )
         # Failed admission leaves nothing committed.
-        uplink = bed.network.graph.edges["src", "r"]["link"]
+        uplink = bed.network.link_between("src", "r")
         assert bed.reservations.committed_bps(uplink) == 0.0
 
 
@@ -159,7 +159,7 @@ class TestMulticastFlowControl:
     def test_unicast_repair_on_lossy_branch(self):
         bed = star(2, loss=None, seed=67)
         # Make only sink1's branch lossy.
-        lossy = bed.network.graph.edges["r", "sink1"]["link"]
+        lossy = bed.network.link_between("r", "sink1")
         lossy.loss = BernoulliLoss(0.15)
         group = create_multicast(
             bed.entities, TransportAddress("src", 1),
@@ -192,7 +192,7 @@ class TestMulticastFlowControl:
         assert len(received[1]) >= 55
         assert group.send_vc.retransmit_count > 0
         # Repairs went unicast: sink0's clean downlink did not see them.
-        clean = bed.network.graph.edges["r", "sink0"]["link"]
+        clean = bed.network.link_between("r", "sink0")
         # 60 data copies + credits; retransmissions would add more than
         # this bound.
         assert clean.stats.delivered_packets <= 62 + 5
@@ -209,7 +209,7 @@ class TestMulticastFlowControl:
         assert group.vc_id not in bed.entities["src"].send_vcs
         for i in range(2):
             assert group.vc_id not in bed.entities[f"sink{i}"].recv_vcs
-        uplink = bed.network.graph.edges["src", "r"]["link"]
+        uplink = bed.network.link_between("src", "r")
         assert bed.reservations.committed_bps(uplink) == 0.0
 
 
@@ -233,7 +233,7 @@ class TestMulticastRelease:
         for entity in bed.entities.values():
             assert group.vc_id not in entity.send_vcs
             assert group.vc_id not in entity.recv_vcs
-        uplink = bed.network.graph.edges["src", "r"]["link"]
+        uplink = bed.network.link_between("src", "r")
         assert bed.reservations.committed_bps(uplink) == 0.0
 
     def test_disconnect_at_source_releases_every_end(self):

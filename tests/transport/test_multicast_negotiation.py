@@ -56,7 +56,7 @@ class TestMulticastNegotiation:
                 strict,
             )
         # Nothing stays reserved after the refusal.
-        uplink = bed.network.graph.edges["src", "r"]["link"]
+        uplink = bed.network.link_between("src", "r")
         assert bed.reservations.committed_bps(uplink) == 0.0
 
     def test_acceptable_only_via_near_branch_still_rejected(self):
