@@ -21,9 +21,12 @@ is simulated.
     process kernel that the film workloads leave idle, so a wake-up
     that lands out of order shows here.
 ``fleet_shards2``
-    The ``sim_digest`` alone.  Its cross-shard cells route to ghost
-    egress destinations, which no other workload does, so a route or
-    next-hop change that moves a shard's traffic shows here.
+    ``obs.fold_calls`` is 240: each of the two workers ships about one
+    telemetry delta per audit period (1 s) of the 120 s run, plus its
+    final one, so a cadence that slips back to one delta per barrier
+    (8 638 folds) shows here.  Its cross-shard cells route to ghost egress
+    destinations, which no other workload does, so the digest also
+    catches a route or next-hop change that moves a shard's traffic.
 
 All of it repeats exactly on any host, so there is no calibration and
 no threshold to tune.
@@ -45,6 +48,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SEED = 1
 MAX_EVENTS = 8.9
 TRACE_EVENTS = 363_972
+FOLD_CALLS = 240
 
 #: One check: (metric, what must hold, predicate over (value, ledger value)).
 Check = Tuple[str, str, Callable[[float, float], bool]]
@@ -61,7 +65,10 @@ ROWS: Dict[str, List[Check]] = {
          lambda value, recorded: value == recorded),
     ],
     "lossy_mixed": [],
-    "fleet_shards2": [],
+    "fleet_shards2": [
+        ("obs.fold_calls", f"== {FOLD_CALLS}",
+         lambda value, _recorded: value == FOLD_CALLS),
+    ],
 }
 
 

@@ -1,8 +1,9 @@
 """Live SLO watcher over streamed soak telemetry.
 
 ``repro.soak``/``repro.scenarios`` runs started with ``--live <path>``
-append one JSON line per synchronization barrier (the folder's rolling
-summary) plus a ``final`` record.  This CLI consumes that stream::
+append one JSON line per audit period -- at each synchronization barrier
+where the coordinator folded a telemetry delta (the folder's rolling
+summary) -- plus a ``final`` record.  This CLI consumes that stream::
 
     # watch a run as it happens (Ctrl-C to stop)
     python -m repro.obs.live tail soak.jsonl --follow

@@ -2,15 +2,17 @@
 
 A sharded run's audit and metrics reach the coordinator only as deltas,
 folded by one :class:`DeltaFolder`.  ``FleetSpec.stream`` sets only the
-cadence -- a delta at every synchronization barrier, or one final delta
-per worker -- and both fold to the same bytes.
+cadence -- a delta once per audit period, or one final delta per
+worker -- and both fold to the same bytes.
 
-- :class:`DeltaEncoder` runs inside a shard worker.  Each call emits
-  what changed since the previous one: counter/gauge/window values,
-  audit verdict periods filed, renegotiations, releases and drill-downs
-  appended.  Barrier deltas piggyback on the ``("window", ...)`` pipe
-  message of :mod:`repro.sim.shard.runner` (zero extra round trips);
-  the final delta travels in the worker's ``collect()`` payload.
+- :class:`DeltaEncoder` runs inside a shard worker.  Each delta is what
+  changed since the previous one: counter/gauge/window values, audit
+  verdict periods filed, renegotiations, releases and drill-downs
+  appended.  The fleet's encoder ships at the first barrier at or after
+  each whole multiple of the audit period (when every audited VC files
+  a verdict), piggybacked on the ``("window", ...)`` pipe message of
+  :mod:`repro.sim.shard.runner` (zero extra round trips); the final
+  delta travels in the worker's ``collect()`` payload.
 - :class:`DeltaFolder` runs inside the coordinator.  It folds each
   delta into per-shard state as it arrives and at finish time hands
   that state to the one document builder,
@@ -19,10 +21,12 @@ per worker -- and both fold to the same bytes.
   O(1) rolling summary (conformance so far, first breach time, skew
   bound overshoots) for the live SLO watcher (:mod:`repro.obs.live`).
 - :class:`LiveWriter` appends rolling records as JSON lines to any
-  file-like sink, one line per barrier plus one final record, flushed
-  eagerly so ``tail -f`` and the watch CLI see them immediately.
+  file-like sink, one line per barrier that folded a delta plus one
+  final record, flushed eagerly so ``tail -f`` and the watch CLI see
+  them immediately.
 
-Delta protocol (one dict per barrier, ``None`` when nothing changed)::
+Delta protocol (one dict per delta, ``None`` when nothing changed or
+the period has not turned)::
 
     {"v": 1, "final": bool, "now": <shard virtual time>,
      "audit": {"connections": {vc: {"full": <to_dict>} | <sparse>},
@@ -154,12 +158,15 @@ class DeltaEncoder:
 
     Wraps a :class:`~repro.obs.audit.QoSAuditor` and/or a
     :class:`~repro.obs.registry.MetricsRegistry` and turns "what changed
-    since the last call" into one picklable delta dict per barrier.
-    Audit changes are discovered through the auditor's dirty sets (a
-    dict insert per recording call -- connections and groups untouched
-    during a window cost nothing); registry changes by a linear scan of
-    the instruments against last-shipped values, which for fleet-scale
-    registries is a few thousand compares per barrier.
+    since the last delta" into one picklable delta dict.  With a
+    ``period``, a non-final call ships only once the clock has reached
+    the next whole multiple of it, and is ``None`` (encoding nothing)
+    before then; without one every call ships.  Audit changes are
+    discovered through the auditor's dirty sets (a dict insert per
+    recording call -- connections and groups untouched since the last
+    delta cost nothing); registry changes by a linear scan of the
+    instruments against last-shipped values, which for fleet-scale
+    registries is a few thousand compares per delta.
 
     ``delta(final=True)`` must be called exactly once, after the run
     finishes: it re-ships every windowed stat (their ``end`` edge is the
@@ -168,11 +175,15 @@ class DeltaEncoder:
     matches a finish-time snapshot exactly.
     """
 
-    def __init__(self, auditor=None, registry=None):
+    def __init__(self, auditor=None, registry=None,
+                 period: Optional[float] = None):
         if auditor is None and registry is None:
             raise ValueError("need an auditor and/or a registry to stream")
         self.auditor = auditor
         self.registry = registry
+        self.period = period
+        #: Clock reading at which the next non-final delta ships.
+        self._due = period
         self._conns: Dict[str, _ConnCursor] = {}
         self._groups: Dict[str, _GroupCursor] = {}
         # Seed with the attach-time counts so an idle histogram does
@@ -199,9 +210,12 @@ class DeltaEncoder:
         A final delta is never ``None``: it always carries the closing
         windowed stats, histograms and sections.
         """
-        out: Dict[str, Any] = {
-            "v": DELTA_VERSION, "final": final, "now": self._now(),
-        }
+        now = self._now()
+        if not final and self.period is not None:
+            if now < self._due:
+                return None
+            self._due = (now // self.period + 1) * self.period
+        out: Dict[str, Any] = {"v": DELTA_VERSION, "final": final, "now": now}
         changed = False
         if self.auditor is not None:
             audit = self._audit_delta(final)
@@ -351,7 +365,7 @@ class DeltaFolder:
         self.shards = shards
         self.labels = list(labels) if labels is not None else None
         self.max_timeline = max_timeline
-        #: Barriers folded so far (maintained by the caller's progress
+        #: Barriers passed so far (maintained by the caller's progress
         #: hook; purely informational).
         self.windows = 0
         self._now = [0.0] * shards

@@ -79,8 +79,8 @@ def _parser() -> argparse.ArgumentParser:
     cell.add_argument("--duration", type=float, default=None,
                       help="virtual seconds to simulate")
     cell.add_argument("--stream", action="store_true",
-                      help="telemetry deltas at every barrier, not only "
-                           "at finish (sharded cells only)")
+                      help="telemetry deltas once per audit period, not "
+                           "only at finish (sharded cells only)")
     cell.add_argument("--live", default=None, metavar="PATH|FD",
                       help="rolling JSONL telemetry sink ('-' for "
                            "stdout); tail with python -m repro.obs.live")

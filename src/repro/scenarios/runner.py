@@ -77,8 +77,8 @@ def run_cell(
 ) -> FleetResult:
     """Execute one scenario cell (inline unless the spec shards it).
 
-    ``stream`` makes a sharded cell ship telemetry deltas at every
-    barrier instead of only at finish (byte-identical merged
+    ``stream`` makes a sharded cell ship telemetry deltas once per
+    audit period instead of only at finish (byte-identical merged
     documents); ``live`` is an optional JSONL sink passed through to
     :func:`repro.soak.run_fleet` for rolling SLO telemetry.
     """

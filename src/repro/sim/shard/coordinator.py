@@ -55,14 +55,19 @@ class ShardedRun:
 
 
 def _recv(conn, proc, shard: int):
-    """Receive one message, failing fast if the worker died."""
-    while not conn.poll(0.2):
-        if not proc.is_alive():
-            raise ShardError(
-                f"shard {shard} worker died without a message "
-                f"(exit code {proc.exitcode})"
-            )
-    return conn.recv()
+    """Receive one message, failing fast if the worker died (a killed
+    worker's pipe reads end-of-file)."""
+    try:
+        while not conn.poll(0.2):
+            if not proc.is_alive():
+                raise EOFError
+        return conn.recv()
+    except EOFError:
+        proc.join(timeout=5)
+        raise ShardError(
+            f"shard {shard} worker died without a message "
+            f"(exit code {proc.exitcode})"
+        ) from None
 
 
 def _expect(msg, kind: str, shard: int):

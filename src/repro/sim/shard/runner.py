@@ -30,9 +30,9 @@ results (snapshots, counters) once the run finishes.
 
 ``delta`` streams telemetry: a context exposing a ``delta_stream``
 attribute (a :class:`repro.obs.stream.DeltaEncoder`) ships what changed
-since the previous barrier inside the window message the worker sends
-anyway -- zero extra round trips -- and ``None`` when idle or when the
-context doesn't stream.  A *final* delta travels inside the
+since its previous delta inside the window message the worker sends
+anyway -- zero extra round trips -- and ``None`` when idle, between the
+encoder's periods, or when the context doesn't stream.  A *final* delta travels inside the
 ``collect()`` payload, not in a window message (the soak fleet puts
 one under ``"delta"`` whether or not it streamed).
 """

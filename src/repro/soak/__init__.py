@@ -213,10 +213,11 @@ def run_fleet(
 
     A sharded run's audit/metrics come out of one :class:`DeltaFolder`
     fed with the workers' telemetry deltas; ``spec.stream`` only sets
-    their cadence (every barrier, or one final delta per worker), and
-    both cadences fold to the same documents.  ``live`` is an optional
-    file-like sink: one rolling JSON line per barrier (streaming runs)
-    plus a ``final`` record (every run), consumed by
+    their cadence (once per audit period, or one final delta per
+    worker), and both cadences fold to the same documents.  ``live`` is
+    an optional file-like sink: one rolling JSON line per barrier that
+    folded a delta (streaming runs, so about one per audit period) plus
+    a ``final`` record (every run), consumed by
     ``python -m repro.obs.live``.  The caller owns closing the sink.
     """
     spec.validate()
@@ -247,13 +248,20 @@ def run_fleet(
         spec.shards, labels=labels, max_timeline=spec.max_timeline,
     )
 
+    folded = False
+
     def on_delta(shard: int, _t_end: float, delta: Any) -> None:
+        nonlocal folded
+        folded = True
         folder.fold(shard, delta)
 
     def barrier_cb(t_end: float, windows: int) -> None:
+        nonlocal folded
         folder.windows = windows
-        if writer is not None and spec.stream:
+        # The rolling summary moves only when a delta was folded.
+        if writer is not None and folded:
             writer.write({"kind": "window", **folder.rolling()})
+        folded = False
         if progress is not None:
             progress(t_end, windows)
 

@@ -98,8 +98,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--mp-context", default="spawn",
                         choices=("spawn", "fork", "forkserver"))
     parser.add_argument("--stream", action="store_true",
-                        help="ship telemetry deltas at every barrier, not "
-                             "only at finish (sharded runs only; same "
+                        help="ship telemetry deltas once per audit period, "
+                             "not only at finish (sharded runs only; same "
                              "merged documents)")
     parser.add_argument("--live", default=None, metavar="PATH|FD",
                         help="write rolling JSONL telemetry records here "

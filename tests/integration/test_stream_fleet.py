@@ -81,3 +81,19 @@ class TestStreamedFleetIdentity:
         assert final["periods"] == summary["periods"]
         assert final["conformance"] == summary["conformance"]
         assert final["counts"] == summary["counts"]
+
+    def test_live_sink_writes_windows_per_audit_period_not_per_barrier(
+        self, tmp_path,
+    ):
+        path = tmp_path / "live.jsonl"
+        with open(path, "w") as sink:
+            result = run_fleet(dataclasses.replace(SPEC, stream=True),
+                               live=sink)
+        windows = [
+            record for record in map(json.loads, open(path))
+            if record["kind"] == "window"
+        ]
+        # Workers ship once per audit period, so the rolling record
+        # moves (and is written) at most that often.
+        assert 0 < len(windows) <= SPEC.duration / SPEC.pump_period
+        assert len(windows) < result.windows

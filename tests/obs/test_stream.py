@@ -239,6 +239,89 @@ class TestDeltaRoundTrip:
             DeltaEncoder()
 
 
+class _World:
+    """One auditor + registry driven by a script, folded at one cadence."""
+
+    def __init__(self, period=None):
+        self.sim = FakeSim()
+        self.auditor = QoSAuditor(self.sim)
+        self.registry = MetricsRegistry(clock=lambda: self.sim.now)
+        self.encoder = DeltaEncoder(
+            auditor=self.auditor, registry=self.registry, period=period,
+        )
+        self.folder = DeltaFolder(1)
+
+    def documents(self):
+        self.folder.fold(0, self.encoder.delta(final=True))
+        return (_dumps(self.folder.result_audit()),
+                _dumps(self.folder.result_metrics()))
+
+
+class TestPeriodCadence:
+    """An encoder with a period ships once per period multiple."""
+
+    def test_none_before_the_first_multiple(self):
+        world = _World(period=1.0)
+        world.auditor.register_connection("v0", CONTRACT)
+        for now in (0.0, 0.25, 0.5, 0.999):
+            world.sim.now = now
+            world.auditor.record_period(
+                "v0", CONTRACT, _met(now, now + 0.25), [],
+            )
+            assert world.encoder.delta() is None
+
+    def test_ships_at_the_first_barrier_at_or_after_each_multiple(self):
+        world = _World(period=1.0)
+        shipped = []
+        for now in (0.4, 1.0, 1.5, 1.9, 2.3, 2.7, 5.2, 5.9, 6.0):
+            world.sim.now = now
+            world.registry.counter("c").inc()
+            if world.encoder.delta() is not None:
+                shipped.append(now)
+        # 1.0 is a multiple itself; 2.3 is the first barrier past 2.0;
+        # 5.2 crosses 3.0, 4.0 and 5.0 at once; 6.0 is the next multiple.
+        assert shipped == [1.0, 2.3, 5.2, 6.0]
+
+    def test_final_always_ships(self):
+        world = _World(period=10.0)
+        assert world.encoder.delta() is None
+        final = world.encoder.delta(final=True)
+        assert final is not None and final["final"]
+        world.sim.now = 0.5
+        world.auditor.register_connection("v0", CONTRACT)
+        assert world.encoder.delta() is None
+        assert world.encoder.delta(final=True)["audit"]["connections"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        script=st.lists(_OP, max_size=60),
+        barriers=st.dictionaries(
+            st.integers(min_value=0, max_value=59),
+            st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
+        ),
+        period=st.floats(min_value=0.05, max_value=4.0, allow_nan=False),
+    )
+    def test_every_cadence_folds_to_the_same_documents(
+        self, script, barriers, period,
+    ):
+        # ``barriers`` maps a script step to extra clock advance before
+        # that step's barrier, so barrier times fall off the op grid.
+        worlds = [_World(), _World(period=period), _World()]
+        per_barrier, per_period, final_only = worlds
+        for step, op in enumerate(script):
+            gap = barriers.get(step)
+            for world in worlds:
+                _apply(op, world.sim, world.auditor, world.registry)
+                if gap is not None:
+                    world.sim.now += gap
+            if gap is not None:
+                per_barrier.folder.fold(0, per_barrier.encoder.delta())
+                per_period.folder.fold(0, per_period.encoder.delta())
+        expected = final_only.documents()
+        assert per_barrier.documents() == expected
+        assert per_period.documents() == expected
+
+
 class TestRollingSummary:
     def test_rolls_counts_and_first_breach(self):
         sim = FakeSim()

@@ -9,6 +9,10 @@ failures surface as :class:`ShardError` instead of deadlocks.
 """
 
 import math
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
@@ -151,6 +155,39 @@ def test_no_cuts_is_a_single_window():
 def test_worker_failure_raises_shard_error():
     with pytest.raises(ShardError, match="boom during build"):
         run_sharded(_boom_factory, 2, until=1.0, lookahead=math.inf)
+
+
+#: Virtual time at which :class:`_SelfKillCtx` kills its worker.
+KILL_AT = 0.5
+
+
+class _SelfKillCtx(_IdleCtx):
+    """An idle shard whose worker SIGKILLs itself mid-run."""
+
+    def __init__(self, shard_index):
+        super().__init__(shard_index)
+        self.sim.call_at(
+            KILL_AT, lambda: os.kill(os.getpid(), signal.SIGKILL),
+        )
+
+
+def _kill_shard1_factory(shard_index):
+    """Factory whose shard 1 dies by SIGKILL at ``KILL_AT``."""
+    if shard_index == 1:
+        return _SelfKillCtx(shard_index)
+    return _IdleCtx(shard_index)
+
+
+def test_killed_worker_raises_shard_error_boundedly_and_leaves_no_worker():
+    started = time.perf_counter()
+    with pytest.raises(ShardError, match="shard 1 worker died"):
+        run_sharded(_kill_shard1_factory, 2, until=2.0, lookahead=0.05)
+    # Spawning two interpreters dominates; the limit is generous on
+    # purpose.
+    assert time.perf_counter() - started < 60.0
+    left = [proc.name for proc in multiprocessing.active_children()
+            if proc.name.startswith("repro-shard-")]
+    assert left == []
 
 
 def test_rejects_bad_parameters():

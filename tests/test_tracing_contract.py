@@ -143,3 +143,89 @@ def test_lossy_mixed_workload_reads_every_attribute_it_names(monkeypatch, tmp_pa
         assert recv_vc.lost_count >= 0
         assert send_vc.sent_count > 0 and send_vc.retransmit_count >= 0
         assert send_vc.buffer.capacity > 0 and recv_vc.buffer.capacity > 0
+
+
+# -- what perf/workloads/kernel_link.py reads off a bare link -----------------
+
+
+def test_kernel_link_workload_reads_every_attribute_it_names(monkeypatch, tmp_path):
+    """One short ``kernel_link`` rep: ``kernel_link.run`` reads the
+    link's stats and its registry counters by name, so a rename fails
+    here rather than in a benchmark run."""
+    from perf.harness import Phases
+    from perf.workloads import kernel_link
+
+    link_class = kernel_link.Link
+    links = []
+
+    def recording_link(*args, **kwargs):
+        links.append(link_class(*args, **kwargs))
+        return links[-1]
+
+    monkeypatch.setattr(kernel_link, "PLAY_SECONDS", 2)
+    monkeypatch.setattr(kernel_link, "BALLAST", 100)
+    monkeypatch.setattr(kernel_link, "PERIODIC_TIMERS", 4)
+    monkeypatch.setattr(kernel_link, "Link", recording_link)
+    stats = kernel_link.run(1, Phases(), str(tmp_path))
+    assert stats.problems == []
+    assert stats.units > 0
+
+    (link,) = links
+    link_stats = link.stats
+    assert link_stats.sent_packets == stats.attempted
+    assert link_stats.lost_packets == link_stats.buffer_drops == 0
+    assert link_stats.corrupted_packets == 0
+    # ``link_counts`` sums the registry's per-link counters by leaf
+    # name; a renamed counter would read 0 here.
+    assert stats.counts["link_pkts"] == link_stats.sent_packets
+    assert stats.counts["link_delivered"] == stats.units
+    assert stats.counts["queue_delay_sim_s"] >= 0.0
+
+
+# -- what perf/workloads/fleet_shards2.py reads off a fleet result ------------
+
+
+def test_fleet_shards2_workload_reads_every_attribute_it_names(monkeypatch, tmp_path):
+    """One short, small ``fleet_shards2`` rep on two worker processes:
+    ``fleet_shards2.run`` reads the fleet result's payload counts,
+    protocol counters, audit summary, invariants and profile by name,
+    so a rename in ``run_fleet`` fails here rather than in a benchmark
+    run."""
+    import dataclasses
+
+    from perf.harness import Phases
+    from perf.workloads import fleet_shards2
+
+    spec_for = fleet_shards2.spec_for
+    run_fleet = fleet_shards2.run_fleet
+    seen = []
+
+    def small_spec(seed, profile):
+        # Profiled, so the traced run's profile read is checked too.
+        return dataclasses.replace(
+            spec_for(seed, profile), cells=4, vcs_per_cell=4,
+            tight_every=4, duration=3.0, profile=True,
+        )
+
+    def recording_run_fleet(spec, **kwargs):
+        seen.append(run_fleet(spec, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(fleet_shards2, "spec_for", small_spec)
+    monkeypatch.setattr(fleet_shards2, "run_fleet", recording_run_fleet)
+    stats = fleet_shards2.run(1, Phases(), str(tmp_path))
+    assert stats.problems == []
+    assert stats.units > 0
+
+    (result,) = seen
+    assert result.invariant_failures() == []
+    assert len(result.payloads) == fleet_shards2.SHARDS
+    for payload in result.payloads:
+        counts = payload["counts"]
+        assert counts["pump_sent"] > 0 and counts["cross_sent"] > 0
+    assert result.windows > 1 and result.messages > 0
+    summary = result.audit["summary"]
+    assert summary["periods"] > 0 and summary["conformance"] is not None
+    assert stats.counts["audit_periods"] == summary["periods"]
+    assert result.packets_delivered == stats.units
+    assert result.profile["subsystems"]["scheduler.dispatch"]["count"] > 0
