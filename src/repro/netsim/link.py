@@ -239,7 +239,7 @@ del _field
 
 # Shared default impairment models: a link built without loss/jitter gets
 # these singletons, letting the serialisation path skip two virtual calls
-# per packet (neither consumes rng draws, so the fast path is
+# per packet (neither consumes rng draws, so skipping them is
 # draw-for-draw identical to calling them).
 _NO_LOSS = NoLoss()
 _NO_JITTER = NoJitter()
@@ -263,8 +263,7 @@ class _Flight:
         self.packet: Optional[Packet] = None
 
     def _fire(self) -> None:
-        # Delivery inlined from Link._deliver: this runs once per packet
-        # on the hot path, and the extra frame is measurable.
+        """Propagation finished: hand the packet to the receiving node."""
         link = self.link
         packet = self.packet
         link._propagating.discard(self)
@@ -301,6 +300,11 @@ class Link:
             dropped (counted in ``stats.buffer_drops``).
         rng: random stream (defaults to a fresh seeded stream).
     """
+
+    #: A subclass that delivers elsewhere (the shard boundary) sets this
+    #: to a method ``(packet, arrival)``, which :meth:`_launch` calls
+    #: instead of arming a local delivery flight.
+    _hand_off: Optional[Callable[["Link", Packet, float], None]] = None
 
     def __init__(
         self,
@@ -372,14 +376,14 @@ class Link:
         #: just how many.
         self._propagating: Set[_Flight] = set()
         self._flight_pool: List[_Flight] = []
-        # Idle-wire fast commit (see send()): when a packet arrives on a
-        # pristine, untraced, idle link its whole fate -- serialisation
-        # span and delivery time -- is already determined, so send()
-        # arms the delivery flight directly and skips the per-packet
+        # Idle-wire commit (see send()): a packet that finds the wire
+        # idle has its whole fate -- serialisation span, loss, BER,
+        # jitter and delivery time -- decided at once, so send() arms
+        # the delivery flight directly and skips the per-packet
         # tx-completion event.  ``_free_at`` is the time the serialiser
         # finishes its committed work; ``_wire`` is the one
-        # fast-committed packet still on the wire (completion time,
-        # buffer bytes, flight), or None.
+        # idle-committed packet still on the wire (completion time,
+        # buffer bytes, flight or None if it was lost), or None.
         self._free_at = 0.0
         self._wire: Optional[tuple] = None
         # No-reorder clamp per priority band: jitter must not reorder
@@ -392,9 +396,9 @@ class Link:
     # -- capacity accounting used by the reservation manager ------------
 
     def _wire_bytes(self) -> float:
-        """Buffer contribution of the fast-committed on-wire packet.
+        """Buffer contribution of the idle-committed on-wire packet.
 
-        The fast path never touches ``_queued_bytes`` (there is no
+        The idle-wire commit never touches ``_queued_bytes`` (there is no
         completion event to subtract at), so occupancy readers add this
         lazily-settled term instead: once the wire packet's completion
         time has passed, its contribution is zero and the entry is
@@ -465,8 +469,9 @@ class Link:
             lost += 1
         self._propagating.clear()
         self._transmitting = False
-        # A fast-committed wire packet is counted by the flights loop
-        # above (its delivery was already armed); just forget the wire.
+        # An idle-committed wire packet was counted by the flights loop
+        # above (its delivery was already armed) or, if the loss model
+        # dropped it, at commit; just forget the wire.
         self._wire = None
         self._free_at = 0.0
         self._c_lost.value += lost
@@ -527,26 +532,19 @@ class Link:
                 new_when = now + remaining * old / bandwidth_bps
                 self._tx_handle.reschedule(new_when)
                 if self._tx_packet is None:
-                    # The handle is the wire-idle wakeup for a
-                    # fast-committed packet; fall through to stretch
+                    # The handle is the wire-idle wakeup for an
+                    # idle-committed packet; fall through to stretch
                     # that packet's delivery too.
                     self._free_at = new_when
         wire = self._wire
         if wire is not None and wire[0] > now:
-            # Stretch/shrink the fast-committed packet's remaining
-            # serialisation at the new rate, shifting its delivery.
+            # Stretch/shrink the idle-committed packet's remaining
+            # serialisation at the new rate, shifting its delivery (a
+            # packet the loss model dropped has none to shift).
             complete, wire_bytes, flight = wire
             new_complete = now + (complete - now) * old / bandwidth_bps
-            shift = new_complete - complete
-            old_arrival = flight.handle.when
-            new_arrival = old_arrival + shift
-            flight.handle.reschedule(new_arrival)
-            # Keep the no-reorder clamps honest: if this delivery was
-            # the band's latest, track its move.
-            if self._last_delivery_high == old_arrival:
-                self._last_delivery_high = new_arrival
-            if self._last_delivery_low == old_arrival:
-                self._last_delivery_low = new_arrival
+            if flight is not None:
+                self._shift_flight(flight, new_complete - complete)
             self._wire = (new_complete, wire_bytes, flight)
             if not self._transmitting:
                 self._free_at = new_complete
@@ -556,6 +554,30 @@ class Link:
                 "link.rate", track=self._track, cat="fault",
                 args={"bandwidth_bps": bandwidth_bps, "was_bps": old},
             )
+
+    def _shift_flight(self, flight: _Flight, shift: float) -> None:
+        """Move an idle-committed packet's delivery by ``shift`` seconds.
+
+        Never earlier than a packet of its band still in propagation: a
+        shrunk serialisation must not pull a clamped (jittered) arrival
+        ahead of the delivery it was clamped behind.
+        """
+        high = flight.packet.priority >= _RESERVED
+        old_arrival = flight.handle.when
+        new_arrival = old_arrival + shift
+        for other in self._propagating:
+            if (other is not flight
+                    and (other.packet.priority >= _RESERVED) == high
+                    and other.handle.when > new_arrival):
+                new_arrival = other.handle.when
+        flight.handle.reschedule(new_arrival)
+        # Keep the no-reorder clamp honest: if this delivery was the
+        # band's latest, track its move.
+        if high:
+            if self._last_delivery_high == old_arrival:
+                self._last_delivery_high = new_arrival
+        elif self._last_delivery_low == old_arrival:
+            self._last_delivery_low = new_arrival
 
     def scale_rate(self, factor: float) -> float:
         """Scale the serialisation rate by ``factor``; returns the old rate."""
@@ -570,19 +592,23 @@ class Link:
     def send(self, packet: Packet) -> None:
         """Enqueue ``packet`` for transmission.
 
-        Fast path: on a pristine (no loss model, no BER, no jitter)
-        idle link the packet's serialisation span and delivery time are
-        fully determined right here, so the delivery flight is armed
-        directly and the per-packet tx-completion event is skipped (one
-        scheduler event per packet instead of two).  Every impaired,
-        busy or downed link takes the classic path, which keeps rng
-        draw order and counter timing byte-for-byte identical to the
-        pre-fast-path behaviour.  The gate must not depend on whether
-        anyone is *observing* the run (tracing, auditing): the
-        scheduled-event count is part of a run's pinned behaviour, so
-        the fast path emits the same serialisation-span trace record
-        classic would, just at commit time (the record carries explicit
-        start/end timestamps, which are identical either way).
+        Idle-wire commit: when the link is up, the wire idle and the
+        packet fits the buffer, its serialisation span is known here,
+        so :meth:`_launch` decides its whole fate at once (loss, then
+        BER, then jitter, drawn from this link's own stream) and arms
+        its one delivery flight directly: one scheduler event per packet
+        instead of two.  A dropped packet arms nothing but still holds
+        the wire until its serialisation ends.  A busy wire queues into
+        the priority bands, and :meth:`_tx_done` launches each queued
+        packet at its serialisation end.  The draw order is the same
+        either way: a packet committed on an idle wire is the next one
+        to finish serialising, so the link draws its fate in the same
+        place in its stream as it would at tx end.  The gate must not
+        depend on whether anyone is *observing* the run (tracing,
+        auditing): the scheduled-event count is part of a run's pinned
+        behaviour, so the commit emits the same serialisation-span
+        trace record the queued path does, with the same explicit
+        start/end timestamps.
         """
         bits = packet.size_bits
         self._c_sent.value += 1
@@ -594,41 +620,14 @@ class Link:
         now = sim._now
         if (self._free_at <= now
                 and not self._transmitting
-                and self.loss is _NO_LOSS
-                and self.jitter is _NO_JITTER
-                and self.ber == 0.0
                 and not self._down
                 and bits * 0.125 <= self.buffer_bytes):
             # The previous wire entry (if any) matured at _free_at <=
-            # now, so settling it is just replacing it (one store, at
-            # the end of this block).
+            # now, so settling it is just replacing it.
             complete = now + bits / self.bandwidth_bps
             self._free_at = complete
-            trace = sim.trace
-            if trace.packets:
-                trace.complete(
-                    packet.flow_id or type(packet.payload).__name__,
-                    now, complete,
-                    track=self._track, cat="link",
-                    args={"bits": bits,
-                          "priority": int(packet.priority),
-                          "packet_id": packet.packet_id},
-                )
-            arrival = complete + self.prop_delay
-            if packet.priority >= _RESERVED:
-                if arrival < self._last_delivery_high:
-                    arrival = self._last_delivery_high
-                self._last_delivery_high = arrival
-            else:
-                if arrival < self._last_delivery_low:
-                    arrival = self._last_delivery_low
-                self._last_delivery_low = arrival
-            pool = self._flight_pool
-            flight = pool.pop() if pool else _Flight(self)
-            flight.packet = packet
-            sim._push(flight.handle, arrival)
-            self._propagating.add(flight)
-            self._wire = (complete, bits * 0.125, flight)
+            self._wire = (complete, bits * 0.125,
+                          self._launch(packet, now, complete))
             if prof is not None:
                 prof.add("link.commit", _t0, prof.clock())
             return
@@ -668,7 +667,7 @@ class Link:
             self._low.append(entry)
         if not self._transmitting:
             if self._free_at > now:
-                # A fast-committed packet still owns the wire: wake the
+                # An idle-committed packet still owns the wire: wake the
                 # serialiser when it frees up instead of starting now.
                 self._transmitting = True
                 self._tx_handle = self._tx_timer
@@ -700,25 +699,37 @@ class Link:
         sim._push(timer, complete)
 
     def _tx_done(self) -> None:
-        """Serialisation finished: launch the packet into propagation."""
+        """Serialisation finished: launch the packet, start the next one.
+
+        With no packet on the wire this is the wire-idle wake-up after
+        an idle-wire commit: there is nothing to launch.
+        """
         packet = self._tx_packet
-        if packet is None:
-            # Woken at wire-idle after a fast-path commit: nothing to
-            # complete, just start serialising the queue.
-            self._tx_handle = None
-            self._start_next()
-            return
-        self._tx_packet = None
         self._tx_handle = None
-        self._queued_bytes -= packet.size_bits * 0.125
+        if packet is not None:
+            self._tx_packet = None
+            self._queued_bytes -= packet.size_bits * 0.125
+            self._launch(packet, self._tx_started, self.sim._now)
+        self._start_next()
+
+    def _launch(self, packet: Packet, start: float,
+                complete: float) -> Optional[_Flight]:
+        """Decide the fate of ``packet``, serialised over [start, complete].
+
+        Records the serialisation span, then draws loss, BER and jitter
+        from this link's own stream, in that order, and hands the
+        survivor off at its clamped arrival time.  Returns the armed
+        delivery flight, or None when the loss model dropped the packet
+        (or :attr:`_hand_off` delivered it elsewhere).  Both the idle-wire
+        commit in :meth:`send` and the queued path's :meth:`_tx_done`
+        call this, once per packet in serialisation order, so a link's
+        draws happen in the same sequence whichever path a packet took.
+        """
         trace = self.sim.trace
         if trace.packets:
-            # Serialisation occupancy: this packet held the link from
-            # tx-start to now.
-            now = self.sim.now
             trace.complete(
                 packet.flow_id or type(packet.payload).__name__,
-                self._tx_started, now,
+                start, complete,
                 track=self._track, cat="link",
                 args={"bits": packet.size_bits,
                       "priority": int(packet.priority),
@@ -734,45 +745,36 @@ class Link:
                           "packet_id": packet.packet_id,
                           "link": self._name},
                 )
+            return None
+        if self.ber > 0.0:
+            p_corrupt = 1.0 - (1.0 - self.ber) ** packet.size_bits
+            if self.rng.random() < p_corrupt:
+                packet.corrupted = True
+                self._c_corrupted.value += 1
+        arrival = complete + self.prop_delay
+        jitter = self.jitter
+        if jitter is not _NO_JITTER:
+            arrival += jitter.sample(self.rng)
+        # Jitter must not reorder packets within a priority band (but
+        # may reorder across bands: control traffic is never clamped
+        # behind a best-effort delivery).
+        if packet.priority >= _RESERVED:
+            if arrival < self._last_delivery_high:
+                arrival = self._last_delivery_high
+            self._last_delivery_high = arrival
         else:
-            if self.ber > 0.0:
-                p_corrupt = 1.0 - (1.0 - self.ber) ** packet.size_bits
-                if self.rng.random() < p_corrupt:
-                    packet.corrupted = True
-                    self._c_corrupted.value += 1
-            jitter = self.jitter
-            arrival = self.sim._now + self.prop_delay
-            if jitter is not _NO_JITTER:
-                arrival += jitter.sample(self.rng)
-            # Jitter must not reorder packets within a priority band
-            # (but may reorder across bands: control traffic is never
-            # clamped behind a best-effort delivery).
-            if packet.priority >= _RESERVED:
-                if arrival < self._last_delivery_high:
-                    arrival = self._last_delivery_high
-                self._last_delivery_high = arrival
-            else:
-                if arrival < self._last_delivery_low:
-                    arrival = self._last_delivery_low
-                self._last_delivery_low = arrival
-            pool = self._flight_pool
-            flight = pool.pop() if pool else _Flight(self)
-            flight.packet = packet
-            self.sim._push(flight.handle, arrival)
-            self._propagating.add(flight)
-        self._start_next()
-
-    def _deliver(self, packet: Packet) -> None:
-        """Propagation finished: hand the packet to the receiving node.
-
-        The in-flight ``_Flight`` already removed itself from
-        ``_propagating`` before calling in.
-        """
-        self._c_delivered.value += 1
-        self._c_delivered_bits.value += packet.size_bits
-        packet.hops += 1
-        if self.on_deliver is not None:
-            self.on_deliver(packet)
+            if arrival < self._last_delivery_low:
+                arrival = self._last_delivery_low
+            self._last_delivery_low = arrival
+        if self._hand_off is not None:
+            self._hand_off(packet, arrival)
+            return None
+        pool = self._flight_pool
+        flight = pool.pop() if pool else _Flight(self)
+        flight.packet = packet
+        self.sim._push(flight.handle, arrival)
+        self._propagating.add(flight)
+        return flight
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         """Human-readable summary for debugging."""

@@ -12,9 +12,9 @@ cut must satisfy the partitioning rules enforced here:
 - positive propagation delay (zero-latency cuts would force a
   zero-width synchronization window -- deadlock);
 - pristine transmission models (no jitter, no loss, no bit errors):
-  the boundary link replays the pristine
-  :class:`~repro.netsim.link.Link` fast path exactly, which is what
-  makes an N-shard run's conformance equal the unsharded baseline;
+  the boundary link is a pristine :class:`~repro.netsim.link.Link` up
+  to its hand-off, which is what makes an N-shard run's conformance
+  equal the unsharded baseline;
 - cut endpoints live on *different* shards.
 
 The partition is pure data (picklable, simulator-free); the runtime

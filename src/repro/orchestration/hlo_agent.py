@@ -208,9 +208,30 @@ class HLOAgent:
         return reply
 
     def release(self, reason: str = "released") -> None:
+        """Orch.Release the group; the agent's report loop ends soon after.
+
+        Regulation stops at once.  The sinks may still owe reports for
+        the interval that was running: the report loop analyses those
+        that arrive within one more interval length, then ends, and the
+        LLO forgets the agent's queue.  Later indications are discarded
+        like those of an unknown session, so a released session leaves
+        no process behind.
+        """
         self.stop_regulation()
         self.llo.release(self.session_id, reason)
         self.established = False
+        proc, self._report_proc = self._report_proc, None
+
+        def retire() -> None:
+            if proc is not None:
+                proc.interrupt("released")
+            self.llo.close_agent_queue(self.session_id)
+
+        if proc is None:
+            retire()
+        else:
+            self.sim.call_at(
+                self.sim.now + self.policy.interval_length, retire)
 
     def prime(self):
         """Coroutine: Orch.Prime the group (fill sink pipelines)."""

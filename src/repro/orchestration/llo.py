@@ -255,6 +255,10 @@ class LLOInstance:
             self._agent_queues[session_id] = Queue(self.sim)
         return self._agent_queues[session_id]
 
+    def close_agent_queue(self, session_id: str) -> None:
+        """Forget ``session_id``'s agent queue: its indications are dropped."""
+        self._agent_queues.pop(session_id, None)
+
     def orch_request(
         self, session_id: str, vcs: Dict[str, Tuple[str, str]]
     ) -> Generator:

@@ -4,7 +4,7 @@ The whole N-shard == unsharded conformance guarantee rests on one
 equivalence: for any traffic pattern, a :class:`BoundaryLink` exports
 every packet with exactly the arrival time (and in exactly the order) a
 real pristine :class:`Link` would have delivered it.  These tests drive
-both through identical schedules -- idle fast commits, queued bursts,
+both through identical schedules -- idle-wire commits, queued bursts,
 mixed priority bands, buffer overflow -- and compare the full delivery
 records, then check the partition-rule guard rails.
 """

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.netsim.faults import FaultLedger
-from repro.netsim.link import JitterModel, Link
+from repro.netsim.link import JitterModel, Link, LossModel
 from repro.netsim.packet import Packet, Priority
 from repro.netsim.topology import Network
 from repro.sim.random import RandomStreams
+from repro.sim.scheduler import Simulator
 
 
 def make_link(sim, **kwargs):
@@ -32,6 +33,19 @@ class ScriptedJitter(JitterModel):
         return max(self.samples) if self.samples else 0.0
 
 
+class ScriptedLoss(LossModel):
+    """Loses the packets whose draws are scripted True, then none."""
+
+    def __init__(self, outcomes):
+        self.outcomes = list(outcomes)
+
+    def is_lost(self, rng):
+        return self.outcomes.pop(0) if self.outcomes else False
+
+    def expected_loss(self):
+        return 0.0
+
+
 class TestLinkDownUp:
     def test_down_loses_queued_serialising_and_propagating(self, sim):
         link = make_link(sim)
@@ -49,6 +63,24 @@ class TestLinkDownUp:
         assert link.stats.lost_packets == 3
         assert link.queued_bytes == 0
         assert not link.up
+        # A lossy link decides each idle-wire packet's fate at send:
+        # whichever packets the loss model dropped, the outage counts
+        # every other one, and each is counted lost exactly once.
+        for drops in ([True, False], [False, True], [True, True]):
+            sim = Simulator()
+            link = make_link(sim, loss=ScriptedLoss(drops))
+            arrivals = []
+            link.on_deliver = lambda p: arrivals.append(sim.now)
+            link.send(packet())                # idle wire, 8 ms
+            sim.run(until=0.009)
+            link.send(packet())                # idle wire again
+            link.send(packet())                # queued behind it
+            sim.run(until=0.010)
+            link.set_down()
+            sim.run(until=1.0)
+            assert arrivals == []
+            assert link.stats.lost_packets == 3
+            assert link.queued_bytes == 0
 
     def test_send_while_down_is_lost(self, sim):
         link = make_link(sim)

@@ -1,20 +1,25 @@
 """Tests for links: timing, priority, impairments."""
 
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.link import (
     BernoulliLoss,
     GilbertElliottLoss,
     JitterModel,
     Link,
+    LossModel,
     NoJitter,
     NoLoss,
     TruncatedGaussianJitter,
     UniformJitter,
 )
 from repro.netsim.packet import Packet, Priority
+from repro.sim.scheduler import Simulator
 
 
 def make_link(sim, **kwargs):
@@ -242,3 +247,149 @@ class TestImpairments:
             GilbertElliottLoss(p_bad=-0.1)
         with pytest.raises(ValueError):
             UniformJitter(-0.1)
+
+
+class ScriptedLoss(LossModel):
+    """Loses the packets whose draws are scripted True, then none."""
+
+    def __init__(self, outcomes):
+        self.outcomes = list(outcomes)
+
+    def is_lost(self, rng):
+        return self.outcomes.pop(0) if self.outcomes else False
+
+    def expected_loss(self):
+        return 0.0
+
+
+def serialise_then_draw(sends, bandwidth, prop, loss_p, ber, max_jitter,
+                        seed):
+    """Reference link: each fate drawn at serialisation end, in order.
+
+    ``sends`` is ``[(time, packet_id, bits, high)]`` in time order.  The
+    wire serialises one packet at a time, strict priority between the
+    bands and FIFO within one; a packet that finds the wire idle starts
+    at once.  Returns ``{packet_id: (arrival, corrupted)}`` for the
+    delivered packets and the lost and corrupted counts.
+    """
+    rng = random.Random(seed)
+    delivered = {}
+    lost = corrupted = 0
+    last = {True: 0.0, False: 0.0}
+    bands = {True: deque(), False: deque()}
+    free_at = 0.0
+    i = 0
+    while i < len(sends) or bands[True] or bands[False]:
+        if bands[True] or bands[False]:
+            _, packet_id, bits, high = (bands[True] or bands[False]).popleft()
+            start = free_at
+        else:
+            start, packet_id, bits, high = sends[i]
+            i += 1
+        free_at = start + bits / bandwidth
+        while i < len(sends) and sends[i][0] < free_at:
+            bands[sends[i][3]].append(sends[i])
+            i += 1
+        if rng.random() < loss_p:
+            lost += 1
+            continue
+        bad = ber > 0.0 and rng.random() < 1.0 - (1.0 - ber) ** bits
+        corrupted += bad
+        arrival = free_at + prop + rng.uniform(0.0, max_jitter)
+        arrival = last[high] = max(arrival, last[high])
+        delivered[packet_id] = (arrival, bad)
+    return delivered, lost, corrupted
+
+
+class TestIdleWireCommit:
+    """An idle wire decides a packet's whole fate at send time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        loss_p=st.sampled_from([0.0, 0.1, 0.4]),
+        ber=st.sampled_from([0.0, 2e-5]),
+        max_jitter=st.sampled_from([0.0, 0.003, 0.02]),
+        plan=st.lists(
+            st.tuples(st.integers(0, 12_000), st.integers(1, 1500),
+                      st.booleans()),
+            min_size=1, max_size=40),
+    )
+    def test_fates_match_draws_at_serialisation_end(
+            self, seed, loss_p, ber, max_jitter, plan):
+        """Same arrivals, corruption and counters as drawing each fate
+        at serialisation end, whether the wire was idle or busy.
+
+        Gaps are whole microseconds plus half of one and serialisation
+        spans whole microseconds, so no send ties a serialisation end.
+        """
+        sim = Simulator()
+        link = Link(sim, "a", "b", 1e6, prop_delay=0.004,
+                    loss=BernoulliLoss(loss_p), ber=ber,
+                    jitter=UniformJitter(max_jitter),
+                    buffer_bytes=10 ** 7, rng=random.Random(seed))
+        got = {}
+        link.on_deliver = lambda p: got.setdefault(
+            p.packet_id, (sim.now, p.corrupted))
+        sends = []
+        when = 0.0
+        for gap_us, size_bytes, high in plan:
+            when += (gap_us + 0.5) * 1e-6
+            p = packet(size_bytes * 8,
+                       Priority.CONTROL if high else Priority.BEST_EFFORT)
+            sends.append((when, p.packet_id, p.size_bits, high))
+            sim.call_at(when, lambda p=p: link.send(p))
+        sim.run()
+        expected, lost, corrupted = serialise_then_draw(
+            sends, 1e6, 0.004, loss_p, ber, max_jitter, seed)
+        assert got == expected
+        stats = link.stats
+        assert stats.sent_packets == len(sends)
+        assert stats.lost_packets == lost
+        assert stats.corrupted_packets == corrupted
+        assert stats.delivered_packets == len(sends) - lost
+        assert stats.buffer_drops == 0
+
+    def test_set_rate_stretches_a_dropped_packet_on_the_wire(self, sim):
+        link = make_link(sim, loss=ScriptedLoss([True]))
+        arrivals = []
+        link.on_deliver = lambda p: arrivals.append(sim.now)
+        link.send(packet(8000))          # idle wire: dropped at commit
+        assert link.stats.lost_packets == 1
+        sim.run(until=0.004)             # half of its 8 ms serialised
+        link.set_rate(0.5e6)             # the rest takes 8 ms, not 4
+        assert not link._propagating     # nothing armed, nothing moved
+        sim.run(until=0.005)
+        link.send(packet(8000))          # waits for the stretched end
+        assert link.queued_bytes == 2000
+        sim.run(until=0.0119)
+        assert link.queued_bytes == 2000
+        sim.run()
+        # Starts at 12 ms, 16 ms at 0.5 Mbit/s, 10 ms propagation.
+        assert arrivals == [pytest.approx(0.038)]
+        assert link.stats.lost_packets == 1
+
+    def test_faster_rate_never_pulls_a_clamped_arrival_ahead(self, sim):
+        class ScriptedJitter(JitterModel):
+            def __init__(self, samples):
+                self._samples = list(samples)
+
+            def sample(self, rng):
+                return self._samples.pop(0)
+
+            def bound(self):
+                return 0.02
+
+        link = make_link(sim, jitter=ScriptedJitter([0.02, 0.0]))
+        order = []
+        link.on_deliver = lambda p: order.append((p.packet_id, sim.now))
+        first, second = packet(8000), packet(8000)
+        link.send(first)                 # arrives 8 + 10 + 20 = 38 ms
+        sim.run(until=0.009)
+        link.send(second)                # 17 + 10 ms, clamped to 38 ms
+        sim.run(until=0.010)
+        link.set_rate(8e6)               # rest of it in 0.875 ms
+        sim.run()
+        assert [pid for pid, _ in order] == [first.packet_id,
+                                             second.packet_id]
+        assert order[1][1] == pytest.approx(0.038)

@@ -66,3 +66,45 @@ class TestSessionEstablishment:
         reply = film.run_coro(agent2.establish())
         assert reply.accept
         assert len(film.bed.llos["ws"].sessions) == 2
+
+
+class TestReleaseLeavesNothingBehind:
+    """A released session ends its agent's processes and queue."""
+
+    @staticmethod
+    def _live_processes():
+        import gc
+
+        from repro.sim.scheduler import Process
+
+        gc.collect()
+        return sum(1 for obj in gc.get_objects()
+                   if isinstance(obj, Process) and obj.alive)
+
+    @staticmethod
+    def _until_done(film, gen):
+        proc = film.sim.spawn(gen)
+        for _ in range(300):
+            if proc.finished.is_set:
+                return proc.finished.value
+            film.bed.run(0.1)
+        raise AssertionError("coroutine did not complete")
+
+    def test_session_churn_keeps_live_processes_flat(self, film):
+        from repro.orchestration.hlo_agent import HLOAgent
+        from repro.orchestration.policy import OrchestrationPolicy
+
+        llo = film.bed.llos["ws"]
+        live = []
+        for cycle in range(6):
+            agent = HLOAgent(film.sim, llo, f"churn-{cycle}", film.specs,
+                             OrchestrationPolicy(interval_length=0.2))
+            for step in (agent.establish, agent.prime, agent.start):
+                assert self._until_done(film, step()).accept
+            film.bed.run(1.0)
+            self._until_done(film, agent.stop())
+            agent.release()
+            film.bed.run(0.5)
+            assert f"churn-{cycle}" not in llo._agent_queues
+            live.append(self._live_processes())
+        assert live == [live[0]] * 6
