@@ -41,11 +41,13 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Any, Dict, List, Optional
+from typing import Any, Deque, Dict, Iterator, List, Optional
 
 from repro.obs.causality import ChainIndex
 from repro.obs.export import FixedBucketHistogram
-from repro.obs.trace import Clock, Record, TraceLevel, Tracer
+from repro.obs.trace import (
+    Clock, Head, Record, TraceLevel, Tracer, assemble, event_of,
+)
 
 __all__ = [
     "FlightRecorder",
@@ -75,19 +77,33 @@ class FlightRecorder(Tracer):
     Records at PACKET verbosity by default but only ever retains the
     last ``capacity`` events, so it can stay installed for a whole run
     at O(capacity) memory: enough context for the auditor to explain a
-    violation the moment it happens, without full-trace overhead.
+    violation the moment it happens, without full-trace overhead.  The
+    ring holds the events as records, which a bounded store can afford.
     """
 
     def __init__(self, clock: Clock, capacity: int = 4096,
                  level: TraceLevel = TraceLevel.PACKET):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        super().__init__(clock, level)
         self.capacity = capacity
-        self._store(deque(maxlen=capacity))
+        super().__init__(clock, level)
+
+    def _store(self) -> None:
+        self._ring: Deque[Record] = deque(maxlen=self.capacity)
+
+    def _record(self, head: Head, ts: float, dur: float,
+                args: Optional[Dict[str, Any]]) -> None:
+        self._ring.append(
+            assemble(head, ts, dur, args.values() if args else ()))
+
+    def __len__(self) -> int:
+        return len(self._ring)
 
     def records(self, start: int = 0) -> List[Record]:
-        return list(self._records)[start:]
+        return list(self._ring)[start:]
+
+    def _events(self) -> Iterator[Dict[str, Any]]:
+        return map(event_of, self._ring)
 
     def snapshot(self) -> List[Dict[str, Any]]:
         """The ring's current contents as event dicts (oldest first)."""

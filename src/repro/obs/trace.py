@@ -21,20 +21,25 @@ Zero cost when disabled
     per-packet verbosity), so the disabled path is a single attribute
     load and branch -- nothing is allocated and no simulator events are
     scheduled.  The tracer itself never schedules anything either: it
-    only appends to an in-memory list at call time.
+    only appends to in-memory columns at call time.
 
-Records, not dicts
-    What is appended is one flat tuple per event -- ``(name, ph, ts,
-    dur, pid, cat, arg_keys, *arg_values)``: the keys of ``args`` as
-    one tuple shared by every event with the same keys (``None``
-    without ``args``), its values inline behind it.  The Chrome-trace
-    dict is built by :func:`event_of` only when something reads it:
-    :attr:`Tracer.events`, :meth:`Tracer.to_dict` and
-    :meth:`Tracer.export` are views over the records.  A record whose
-    argument values are atoms is a tuple of atoms (and one tuple of
-    strings), which the cyclic garbage collector stops tracking after
-    its first pass: a long trace costs one collector-visible allocation
-    per event and slows no later collection down.
+Columns, not records
+    An event is filed into columns, not kept as an object of its own.
+    Its *head* -- ``(name, ph, pid, cat, arg_keys)``, the keys of
+    ``args`` as a tuple (``None`` without ``args``) -- is one tuple
+    shared by every event with the same head; its ``ts`` and ``dur``
+    go into two ``array('d')`` columns and its argument values onto the
+    end of one flat list.  A PACKET-level event so costs a head
+    pointer, two unboxed doubles and a pointer per argument value, and
+    no object the cyclic garbage collector has to track: however long
+    the trace, the collector sees the same few containers.  The
+    Chrome-trace dicts are built from the columns when something reads
+    them (:attr:`Tracer.events`, :meth:`Tracer.to_dict`,
+    :meth:`Tracer.export`), and :meth:`Tracer.records` rebuilds the
+    flat record tuples ``(name, ph, ts, dur, pid, cat, arg_keys,
+    *arg_values)`` that :mod:`repro.obs.causality` indexes.  The
+    bounded :class:`~repro.obs.audit.FlightRecorder` ring keeps those
+    tuples instead, behind the same recording entry point.
 
 This module stays a leaf: it imports the JSON writer of
 :mod:`repro.obs.export` and nothing else of the package, and the tracer
@@ -44,9 +49,13 @@ importing the simulator.
 
 from __future__ import annotations
 
+from array import array
 from enum import IntEnum
-from itertools import chain
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from itertools import chain, islice
+from operator import itemgetter
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
+)
 
 from repro.obs.export import write_json_document
 
@@ -57,6 +66,11 @@ Clock = Callable[[], float]
 Record = Tuple[Any, ...]
 #: Positions of a record's fixed fields; argument values start at ARGS.
 NAME, PH, TS, DUR, PID, CAT, KEYS, ARGS = range(8)
+#: ``(name, ph, pid, cat, arg_keys, width)``: what every event with that
+#: name, phase, track, category and key set shares; ``width`` is the
+#: number of argument values each of them files.
+Head = Tuple[Any, ...]
+WIDTH = 5
 
 #: Virtual seconds -> Chrome-trace microseconds.
 _US = 1e6
@@ -175,6 +189,14 @@ def record_arg(record: Record, key: str) -> Any:
     return None
 
 
+def assemble(head: Head, ts: float, dur: float,
+             values: Iterable[Any]) -> Record:
+    """The record of one event, from its head, times and argument values."""
+    name, ph, pid, cat, keys, _ = head
+    return (name, ph, ts, dur if ph == "X" else None, pid, cat, keys,
+            *values)
+
+
 class Tracer:
     """Records trace events against a virtual clock.
 
@@ -191,14 +213,30 @@ class Tracer:
         self.enabled = self.level >= TraceLevel.LIFECYCLE
         self.packets = self.level >= TraceLevel.PACKET
         self._pids: Dict[str, int] = {}
-        #: Every distinct ``tuple(args)`` seen, mapped to itself.
-        self._arg_keys: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
-        self._store([])
+        #: ``(name, ph, track, cat, *arg_keys)`` -> the head it names.
+        self._heads_by: Dict[Tuple[Any, ...], Head] = {}
+        self._store()
 
-    def _store(self, records) -> None:
-        """Install the record container (a list here, a ring below)."""
-        self._records = records
-        self._append = records.append
+    def _store(self) -> None:
+        """Install the event store (columns here, a ring of records in
+        :class:`~repro.obs.audit.FlightRecorder`)."""
+        #: Per event: its head, ``ts``, ``dur`` (0.0 unless "X"); the
+        #: argument values of all events, back to back.
+        self._heads: List[Head] = []
+        self._ts = array("d")
+        self._dur = array("d")
+        self._values: List[Any] = []
+        #: ``(event, value)`` positions where the last read ended.
+        self._cursor = (0, 0)
+
+    def _record(self, head: Head, ts: float, dur: float,
+                args: Optional[Dict[str, Any]]) -> None:
+        """File one event: the entry point every recording call ends in."""
+        self._heads.append(head)
+        self._ts.append(ts)
+        self._dur.append(dur)
+        if args:
+            self._values.extend(args.values())
 
     # -- state -------------------------------------------------------------
 
@@ -207,45 +245,77 @@ class Tracer:
         return self._clock()
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._heads)
 
     @property
     def events(self) -> List[Dict[str, Any]]:
         """The recorded events (metadata events excluded)."""
-        return [event_of(record) for record in self._records]
+        return list(self._events())
 
     def records(self, start: int = 0) -> List[Record]:
-        """The retained records from position ``start`` on, oldest first."""
-        return self._records[start:]
+        """The retained records from position ``start`` on, oldest first.
+
+        Rebuilt from the columns.  Reading on from where the previous
+        call ended, as the auditor's drill-downs do, costs only the
+        records filed since; any other ``start`` first walks the heads
+        before it.
+        """
+        heads = self._heads
+        start = range(len(heads))[start:].start
+        at, offset = self._cursor
+        if start < at:
+            at = offset = 0
+        offset += sum(map(itemgetter(WIDTH), heads[at:start]))
+        values = iter(self._values[offset:])
+        records = [
+            assemble(head, ts, dur, islice(values, head[WIDTH]))
+            for head, ts, dur in zip(heads[start:], self._ts[start:],
+                                     self._dur[start:])
+        ]
+        self._cursor = (len(heads), len(self._values))
+        return records
+
+    def _events(self) -> Iterator[Dict[str, Any]]:
+        """The Chrome-trace dicts, built straight from the columns."""
+        # zip() stops at the keys, so each event takes its own values.
+        values = iter(self._values)
+        for (name, ph, pid, cat, keys, _), ts, dur in zip(
+                self._heads, self._ts, self._dur):
+            if ph == "i":
+                event = {"name": name, "ph": "i", "s": "t", "ts": ts,
+                         "pid": pid, "tid": 0, "cat": cat}
+            elif ph == "X":
+                event = {"name": name, "ph": "X", "ts": ts, "dur": dur,
+                         "pid": pid, "tid": 0, "cat": cat}
+            else:
+                event = {"name": name, "ph": ph, "ts": ts, "pid": pid,
+                         "tid": 0}
+            if keys is not None:
+                event["args"] = dict(zip(keys, values))
+            yield event
 
     # -- recording ---------------------------------------------------------
 
-    def _pid(self, track: str) -> int:
+    def _head(self, name: str, ph: str, track: str, cat: Optional[str],
+              args: Optional[Dict[str, Any]]) -> Head:
+        """The one head kept per ``(name, ph, track, cat, arg keys)``."""
+        key = (name, ph, track, cat, *args) if args else (name, ph, track, cat)
         try:
-            return self._pids[track]
+            return self._heads_by[key]
         except KeyError:
-            pid = self._pids[track] = len(self._pids) + 1
-            return pid
-
-    def _keys(self, args: Dict[str, Any]) -> Tuple[str, ...]:
-        """The keys of ``args``, as the one tuple kept per key set."""
-        keys = tuple(args)
-        try:
-            return self._arg_keys[keys]
-        except KeyError:
-            self._arg_keys[keys] = keys
-            return keys
+            pass
+        pid = self._pids.setdefault(track, len(self._pids) + 1)
+        # A counter always has args, if maybe empty ones.
+        keys = key[4:] if args or ph == "C" else None
+        head = self._heads_by[key] = (name, ph, pid, cat, keys,
+                                      len(keys) if keys else 0)
+        return head
 
     def instant(self, name: str, track: str = "sim", cat: str = "event",
                 args: Optional[Dict[str, Any]] = None) -> None:
         """Record a point-in-time event ("i" phase, thread scope)."""
-        if args:
-            self._append((name, "i", self._clock() * _US, None,
-                          self._pid(track), cat,
-                          self._keys(args), *args.values()))
-        else:
-            self._append((name, "i", self._clock() * _US, None,
-                          self._pid(track), cat, None))
+        self._record(self._head(name, "i", track, cat, args),
+                     self._clock() * _US, 0.0, args)
 
     def span(self, name: str, track: str = "sim", cat: str = "span",
              args: Optional[Dict[str, Any]] = None) -> Span:
@@ -256,20 +326,14 @@ class Tracer:
                  track: str = "sim", cat: str = "span",
                  args: Optional[Dict[str, Any]] = None) -> None:
         """Record a closed span ("X" complete event) from start to end."""
-        dur = max(end - start, 0.0) * _US
-        if args:
-            self._append((name, "X", start * _US, dur, self._pid(track), cat,
-                          self._keys(args), *args.values()))
-        else:
-            self._append((name, "X", start * _US, dur, self._pid(track), cat,
-                          None))
+        self._record(self._head(name, "X", track, cat, args), start * _US,
+                     max(end - start, 0.0) * _US, args)
 
     def counter(self, name: str, values: Dict[str, float],
                 track: str = "sim") -> None:
         """Record a counter sample ("C" event, stacked in the viewer)."""
-        self._append((name, "C", self._clock() * _US, None,
-                      self._pid(track), None,
-                      self._keys(values), *values.values()))
+        self._record(self._head(name, "C", track, None, values),
+                     self._clock() * _US, 0.0, values)
 
     # -- export ------------------------------------------------------------
 
@@ -293,10 +357,11 @@ class Tracer:
         """Write the trace as Chrome-trace JSON; returns ``path``.
 
         The same bytes as ``json.dump(self.to_dict(), handle)``, but
-        events are materialised and encoded a bounded chunk at a time.
+        events are built from the store and encoded a bounded chunk at
+        a time.
         """
         return write_json_document(path, self._document(
-            chain(self._metadata(), map(event_of, self._records))))
+            chain(self._metadata(), self._events())))
 
 
 def merge_traces(

@@ -12,6 +12,7 @@ from repro.obs.audit import (
     install_audit,
     merge_snapshots,
 )
+from repro.obs import trace as trace_module
 from repro.obs.causality import ChainIndex
 from repro.obs.trace import TraceLevel, Tracer
 from repro.sim.scheduler import Simulator
@@ -255,6 +256,40 @@ class TestDrilldown:
         # Nothing recorded in between: the next drill-down ingests nothing.
         self._violate(auditor, "v1", 0.0)
         assert batches[-1] == 0
+
+    def test_drilldown_materialises_only_records_filed_since_its_cursor(
+            self, monkeypatch):
+        sim = Simulator()
+        clock = _Clock()
+        tracer = sim.trace = Tracer(clock, TraceLevel.PACKET)
+        auditor = install_audit(sim, max_drilldowns=100)
+        built = []
+        assemble = trace_module.assemble
+
+        def counting(head, ts, dur, values):
+            built.append(head[0])
+            return assemble(head, ts, dur, values)
+
+        monkeypatch.setattr(trace_module, "assemble", counting)
+
+        def send(first, count):
+            for n in range(first, first + count):
+                clock.t = n / 100
+                tracer.instant("tpdu.tx", track="vc:v1", cat="causal",
+                               args={"packet_id": n, "vc": "v1", "seq": n,
+                                     "kind": "data"})
+                tracer.instant("spawn", track="sim")
+
+        send(0, 40)
+        self._violate(auditor, "v1", 0.0)
+        assert len(built) == 80
+        send(40, 3)
+        built.clear()
+        self._violate(auditor, "v1", 0.0)
+        assert built == ["tpdu.tx", "spawn"] * 3
+        built.clear()
+        self._violate(auditor, "v1", 0.0)
+        assert built == []
 
     def test_ring_drilldown_sees_only_the_ring(self, monkeypatch):
         sim = Simulator()
