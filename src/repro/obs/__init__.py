@@ -38,8 +38,8 @@ layer that turns them into the system's evaluation instrument:
 ``repro.obs.export``
     :class:`FixedBucketHistogram` (HDR-style p50/p95/p99/p999),
     Prometheus text exposition, JSON snapshots for the registry and
-    :func:`write_json_document`, the chunked C-encoder writer behind
-    every large JSON export (traces, merged fleet audits).
+    :func:`write_json_document`, the chunked C-encoder writer of the
+    soak CLI's merged fleet audit.
 
 ``repro.obs.report``
     ``python -m repro.obs.report trace.json`` summarises an exported
@@ -47,10 +47,9 @@ layer that turns them into the system's evaluation instrument:
     paper-style conformance report from an audit snapshot.
 
 The registry, tracer, causality and export submodules import nothing
-outside ``repro.obs`` (causality reads the tracer's records, the tracer
-writes through the export module's JSON writer; they take a ``clock``
-callable instead of importing the simulator), so the kernel can depend
-on them without a cycle; the auditor only reads ``sim.now``.
+outside ``repro.obs`` (causality reads the tracer's records; they take
+a ``clock`` callable instead of importing the simulator), so the kernel
+can depend on them without a cycle; the auditor only reads ``sim.now``.
 """
 
 from repro.obs.audit import (

@@ -25,7 +25,10 @@ the installed tracer's ring (see :class:`FlightRecorder`) through a
 :class:`~repro.obs.causality.ChainIndex` and stores which packets the
 period lost, where, and which fault episodes overlapped -- bounded to
 ``max_drilldowns`` per connection so a long outage cannot balloon the
-audit.
+audit.  Over an append-only tracer one index is kept and fed only the
+records filed since the last drill-down; once no registered connection
+has a drill-down left, its packet chains are dropped (fault episodes
+stay), so a long run does not keep every packet it indexed.
 
 Orchestration groups register separately: per-group skew observations
 feed an HDR-style histogram compared against the HLO policy's
@@ -41,12 +44,13 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.causality import ChainIndex
 from repro.obs.export import FixedBucketHistogram
 from repro.obs.trace import (
-    Clock, Head, Record, TraceLevel, Tracer, assemble, event_of,
+    ARGS, DUR, TS, Clock, Head, Record, TraceLevel, Tracer, assemble,
+    event_of,
 )
 
 __all__ = [
@@ -104,6 +108,29 @@ class FlightRecorder(Tracer):
 
     def _events(self) -> Iterator[Dict[str, Any]]:
         return map(event_of, self._ring)
+
+    def _columns(self):
+        """The ring as the columns :meth:`Tracer.export` writes.
+
+        A record carries its head's fields, and the records of one head
+        share its key tuple, so ``(name, ph, pid, cat, id(keys))`` finds
+        the head again without merging key tuples that are only equal
+        (``(True,)`` and ``(1,)``).
+        """
+        ring = self._ring
+        shared: Dict[Tuple[Any, ...], Head] = {}
+        heads = []
+        for record in ring:
+            name, ph, _, _, pid, cat, keys = record[:ARGS]
+            fields = (name, ph, pid, cat, id(keys))
+            head = shared.get(fields)
+            if head is None:
+                head = shared[fields] = (name, ph, pid, cat, keys,
+                                         len(record) - ARGS)
+            heads.append(head)
+        return (heads, [record[TS] for record in ring],
+                [record[DUR] for record in ring],
+                [value for record in ring for value in record[ARGS:]])
 
     def snapshot(self) -> List[Dict[str, Any]]:
         """The ring's current contents as event dicts (oldest first)."""
@@ -259,6 +286,8 @@ class QoSAuditor:
         #: and how many of the tracer's records it has been fed.
         self._chain = ChainIndex()
         self._indexed = 0
+        #: Registered connections that may still drill down.
+        self._budgeted = 0
 
     # -- extension sections ------------------------------------------------
 
@@ -284,6 +313,7 @@ class QoSAuditor:
                 key, self.sim.now, contract, src, dst, sample_period,
             )
             self._dirty_connections[key] = None
+            self._budgeted += 1
 
     def _connection(self, vc_id) -> _ConnectionAudit:
         key = str(vc_id)
@@ -296,6 +326,7 @@ class QoSAuditor:
                 key, self.sim.now, None, None, None, None,
             )
             self._dirty_connections[key] = None
+            self._budgeted += 1
             return conn
 
     def record_period(self, vc_id, contract, measurement,
@@ -377,6 +408,12 @@ class QoSAuditor:
         )
         explanation["violations"] = entry["violations"]
         conn.drilldowns.append(explanation)
+        if len(conn.drilldowns) == self.max_drilldowns:
+            self._budgeted -= 1
+            if not self._budgeted:
+                # Only a connection registered from now on can drill
+                # down again, and it sends nothing indexed so far.
+                self._chain.forget_packets()
 
     def record_renegotiation(self, vc_id, outcome, from_bps=None,
                              to_bps=None, reason=None) -> None:

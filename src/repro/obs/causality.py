@@ -109,6 +109,17 @@ class ChainIndex:
         for chain in unsorted.values():
             chain.sort(key=_timestamp)
 
+    def forget_packets(self) -> None:
+        """Drop the packet and per-VC chains; keep the fault episodes.
+
+        For a consumer that will ask only about VCs whose sends are all
+        still to come (connections registered from now on): their
+        packets are indexed from here, while a fault episode indexed
+        already can overlap one of their periods' look-back.
+        """
+        self._by_packet = {}
+        self._tx_by_vc = {}
+
     # -- raw lookups -------------------------------------------------------
 
     def events_for_packet(self, packet_id: int) -> List[Dict[str, Any]]:

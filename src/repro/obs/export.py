@@ -16,9 +16,9 @@ provide:
   lines plus samples) for a :class:`~repro.obs.registry.MetricsRegistry`.
 - :func:`write_json_snapshot` -- ``MetricsRegistry.snapshot()`` dumped
   to a JSON file.
-- :func:`write_json_document` -- a large JSON object (a trace, a merged
-  fleet audit) written through the C encoder one bounded chunk of
-  array elements at a time.
+- :func:`write_json_document` -- a large JSON object (a merged fleet
+  audit) written through the C encoder one bounded chunk of array
+  elements at a time.
 
 Like the rest of ``repro.obs``, everything here is passive: recording
 a sample or rendering an exposition never schedules simulator events.
@@ -29,8 +29,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections.abc import Iterator
-from itertools import islice
 from typing import Any, Dict, List, Optional
 
 __all__ = [
@@ -41,11 +39,8 @@ __all__ = [
 ]
 
 #: Array elements handed to the C encoder per call by
-#: :func:`write_json_document`.  Small on purpose: a chunk of freshly
-#: built dicts this size is freed by reference count before the cyclic
-#: collector's first-generation threshold (700 allocations) is reached,
-#: so an export triggers no collections and promotes nothing; the
-#: per-call overhead is already negligible at this size.
+#: :func:`write_json_document`: the text of a chunk this size is small,
+#: and the per-call overhead is already negligible.
 _CHUNK = 128
 
 
@@ -345,10 +340,9 @@ def write_json_document(path: str, document: Dict[str, Any]) -> str:
 
     Byte-identical to ``json.dump(document, handle)`` -- which walks the
     document in pure Python -- but encoded by the C encoder.  A member
-    that is a list or an iterator is written as an array, ``_CHUNK``
-    elements per encoder call, so neither the document's text nor (for
-    an iterator) its elements ever exist all at once; any other member
-    is encoded whole.  Keys must be strings.
+    that is a list is written ``_CHUNK`` elements per encoder call, so
+    the document's text never exists all at once; any other member is
+    encoded whole.  Keys must be strings.
     """
     encode = json.JSONEncoder().encode
     with open(path, "w") as handle:
@@ -358,14 +352,11 @@ def write_json_document(path: str, document: Dict[str, Any]) -> str:
             if not isinstance(key, str):
                 raise TypeError(f"document keys must be str, got {key!r}")
             write(f"{', ' if index else ''}{encode(key)}: ")
-            if isinstance(value, (list, Iterator)):
-                elements = iter(value)
+            if isinstance(value, list):
                 write("[")
-                separator = ""
-                while chunk := list(islice(elements, _CHUNK)):
-                    write(separator)
-                    write(encode(chunk)[1:-1])
-                    separator = ", "
+                for start in range(0, len(value), _CHUNK):
+                    write(", " if start else "")
+                    write(encode(value[start:start + _CHUNK])[1:-1])
                 write("]")
             else:
                 write(encode(value))

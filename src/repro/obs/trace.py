@@ -49,15 +49,17 @@ importing the simulator.
 
 from __future__ import annotations
 
+import json
 from array import array
 from enum import IntEnum
-from itertools import chain, islice
+from itertools import islice
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from operator import itemgetter
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
+    Tuple,
 )
-
-from repro.obs.export import write_json_document
 
 Clock = Callable[[], float]
 
@@ -74,6 +76,18 @@ WIDTH = 5
 
 #: Virtual seconds -> Chrome-trace microseconds.
 _US = 1e6
+
+#: Events joined into one string per write by :meth:`Tracer.export`:
+#: enough that the per-write cost vanishes, few enough that an export's
+#: memory does not grow with the trace.
+_EVENTS_PER_WRITE = 512
+#: Entries an export's text caches (argument strings, durations) hold
+#: at most; a full cache is emptied, so unique values cannot grow it.
+_CACHE_LIMIT = 4096
+
+_encode = json.JSONEncoder().encode
+_float_repr = float.__repr__
+_int_repr = int.__repr__
 
 
 class TraceLevel(IntEnum):
@@ -304,9 +318,16 @@ class Tracer:
             return self._heads_by[key]
         except KeyError:
             pass
-        pid = self._pids.setdefault(track, len(self._pids) + 1)
         # A counter always has args, if maybe empty ones.
         keys = key[4:] if args or ph == "C" else None
+        if keys and not all(type(k) is str for k in keys):
+            # True, 1 and 1.0 are one dict key but three JSON keys: a
+            # head with such keys is filed under their types and reprs.
+            key = (key, tuple((type(k), repr(k)) for k in keys))
+            head = self._heads_by.get(key)
+            if head is not None:
+                return head
+        pid = self._pids.setdefault(track, len(self._pids) + 1)
         head = self._heads_by[key] = (name, ph, pid, cat, keys,
                                       len(keys) if keys else 0)
         return head
@@ -346,22 +367,126 @@ class Tracer:
             for track, pid in sorted(self._pids.items(), key=lambda kv: kv[1])
         ]
 
-    def _document(self, events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-
     def to_dict(self) -> Dict[str, Any]:
         """The full trace as a Chrome-trace JSON object."""
-        return self._document(self._metadata() + self.events)
+        return {"traceEvents": self._metadata() + self.events,
+                "displayTimeUnit": "ms"}
+
+    def _columns(self) -> Tuple[Sequence[Head], Sequence[float],
+                                Sequence[float], Sequence[Any]]:
+        """Per event its head, ``ts`` and ``dur``; then every event's
+        argument values, back to back: what :meth:`export` writes."""
+        return self._heads, self._ts, self._dur, self._values
 
     def export(self, path: str) -> str:
         """Write the trace as Chrome-trace JSON; returns ``path``.
 
-        The same bytes as ``json.dump(self.to_dict(), handle)``, but
-        events are built from the store and encoded a bounded chunk at
-        a time.
+        The same bytes as ``json.dump(self.to_dict(), handle)``, written
+        from the columns through per-head templates, a bounded chunk of
+        events at a time (see the module docstring).
         """
-        return write_json_document(path, self._document(
-            chain(self._metadata(), self._events())))
+        metadata = _encode(self._metadata())[1:-1]
+        with open(path, "w") as handle:
+            write = handle.write
+            write('{"traceEvents": [' + metadata)
+            separator = ", " if metadata else ""
+            for text in _event_texts(*self._columns()):
+                write(separator + text)
+                separator = ", "
+            write('], "displayTimeUnit": "ms"}')
+        return path
+
+
+def _float_text(value: float) -> str:
+    """A float as the C encoder writes it (``NaN``, ``Infinity``...)."""
+    return _float_repr(value) if isfinite(value) else _encode(value)
+
+
+def _template(head: Head) -> str:
+    """The ``%``-template of every event under ``head``.
+
+    Its constant text is what the C encoder writes for the event's dict
+    (:func:`event_of`), with ``%`` doubled and a ``%s`` for ``ts``, for
+    ``dur`` on "X" and for each argument value.
+    """
+    name, ph, pid, cat, keys, _ = head
+    parts = ['{"name": ' + _encode(name) + ', "ph": ' + _encode(ph)
+             + (', "s": "t"' if ph == "i" else "") + ', "ts": ']
+    if ph == "X":
+        parts.append(', "dur": ')
+    tail = ', "pid": ' + _encode(pid) + ', "tid": 0'
+    if ph in ("i", "X"):
+        tail += ', "cat": ' + _encode(cat)
+    if keys is None:
+        parts.append(tail + "}")
+    elif not keys:
+        parts.append(tail + ', "args": {}}')
+    else:
+        for index, key in enumerate(keys):
+            # The encoder's text for a dict key: str or not, as written.
+            text = _encode({key: 0})[1:-4] + ": "
+            parts.append((tail + ', "args": {' if index == 0 else ", ")
+                         + text)
+        parts.append("}}")
+    return "%s".join(part.replace("%", "%%") for part in parts)
+
+
+def _event_texts(heads: Sequence[Head], ts: Sequence[float],
+                 dur: Sequence[float], values: Sequence[Any]) -> Iterator[str]:
+    """The JSON of every event, ``_EVENTS_PER_WRITE`` events per string.
+
+    Templates are keyed by the head object: two heads whose key tuples
+    are equal under ``==`` (``(True,)`` and ``(1,)``) stay apart.
+    """
+    templates: Dict[int, Tuple[str, bool, int]] = {}
+    strings: Dict[str, str] = {}
+    durations: Dict[float, str] = {}
+
+    def cache(table: Dict[Any, str], key: Any, text: str) -> str:
+        if len(table) >= _CACHE_LIMIT:
+            table.clear()
+        table[key] = text
+        return text
+
+    offset = 0
+    for start in range(0, len(heads), _EVENTS_PER_WRITE):
+        stop = start + _EVENTS_PER_WRITE
+        chunk = heads[start:stop]
+        width = sum(map(itemgetter(WIDTH), chunk))
+        texts = [
+            _int_repr(value) if type(value) is int
+            else strings.get(value)
+            or cache(strings, value, encode_basestring_ascii(value))
+            if type(value) is str
+            else _encode(value)
+            for value in values[offset:offset + width]
+        ]
+        offset += width
+        times = ts[start:stop]
+        # A NaN or an infinity anywhere makes the sum non-finite.
+        times = map(_float_repr if isfinite(sum(times)) else _float_text,
+                    times)
+        events = []
+        at = 0
+        for head, time, span in zip(chunk, times, dur[start:stop]):
+            entry = templates.get(id(head))
+            if entry is None:
+                entry = templates[id(head)] = (
+                    _template(head), head[1] == "X", head[WIDTH])
+            template, is_span, count = entry
+            if is_span:
+                text = durations.get(span)
+                if text is None:
+                    text = _float_text(span)
+                    # -0.0 finds 0.0's entry and NaN finds none: keep
+                    # neither.
+                    if span and span == span:
+                        cache(durations, span, text)
+                events.append(template % (time, text, *texts[at:at + count]))
+            else:
+                events.append(template % (time, *texts[at:at + count]))
+            at += count
+        yield ", ".join(events)
 
 
 def merge_traces(

@@ -291,6 +291,67 @@ class TestDrilldown:
         self._violate(auditor, "v1", 0.0)
         assert built == []
 
+    def test_index_forgets_packets_once_no_connection_can_drill_down(
+            self, monkeypatch):
+        """The index keeps its packet chains while any connection may
+        still drill down; one registered after the drop drills down
+        exactly as from an index that never dropped anything, and
+        nothing filed before the drop is read again."""
+        sim = Simulator()
+        clock = _Clock()
+        tracer = sim.trace = Tracer(clock, TraceLevel.PACKET)
+        auditor = install_audit(sim, max_drilldowns=1)
+        batches = self._count_ingested(monkeypatch)
+
+        def send(vc, first, t0):
+            for n in range(first, first + 20):
+                clock.t = t0 + (n - first) / 20
+                tracer.instant("tpdu.tx", track=f"vc:{vc}", cat="causal",
+                               args={"packet_id": n, "vc": vc, "seq": n,
+                                     "kind": "data"})
+                if n % 3:
+                    tracer.instant("rx:tpdu", track="host",
+                                   args={"src": "a", "flow": vc,
+                                         "packet_id": n})
+                else:
+                    tracer.instant("drop:down", track="link:r->b",
+                                   args={"packet_id": n, "link": "r->b",
+                                         "flow": vc})
+
+        fed = []
+
+        def drilldown(vc, t0):
+            self._violate(auditor, vc, t0)
+            fed.append(batches[-1])
+            never_dropped = ChainIndex()
+            never_dropped.extend_records(tracer.records())
+            drill = auditor._connection(vc).drilldowns[-1]
+            assert drill.pop("violations")
+            assert drill == never_dropped.explain_period(vc, t0, t0 + 1.0)
+            return drill
+
+        auditor.register_connection("v0", CONTRACT)
+        auditor.register_connection("v1", CONTRACT)
+        send("v0", 0, 0.0)
+        send("v1", 50, 0.0)
+        tracer.complete("fault:outage:r->b", 0.5, 1.5, track="link:r->b",
+                        cat="fault", args={"link": "r->b"})
+        drilldown("v1", 0.0)
+        chain = auditor._chain
+        assert chain._by_packet  # v0 may still drill down
+        assert drilldown("v0", 0.0)["sent"] == 20
+        assert not chain._by_packet and not chain._tx_by_vc
+        assert [r[0] for r in chain._faults] == ["fault:outage:r->b"]
+
+        clock.t = 1.9
+        auditor.register_connection("v2", CONTRACT)
+        send("v2", 100, 2.0)
+        drill = drilldown("v2", 2.0)
+        assert fed == [81, 0, 40]
+        # The fault before the drop lies inside the period's look-back.
+        assert [f["name"] for f in drill["faults"]] == ["fault:outage:r->b"]
+        assert drill["sent"] == 20 and len(drill["lost"]) == 6
+
     def test_ring_drilldown_sees_only_the_ring(self, monkeypatch):
         sim = Simulator()
         clock = _Clock()

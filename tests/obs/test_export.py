@@ -4,10 +4,13 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
+from repro.core import Stack
 from repro.obs import export
+from repro.obs import trace as trace_module
 from repro.obs.audit import FlightRecorder
 from repro.obs.export import (
     FixedBucketHistogram,
@@ -346,6 +349,9 @@ def _buffered(document) -> str:
 CHUNK = export._CHUNK
 #: Array lengths around the writer's chunk boundaries.
 BOUNDARIES = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 1]
+PER_WRITE = trace_module._EVENTS_PER_WRITE
+#: Trace lengths around the trace export's write boundaries.
+WRITE_BOUNDARIES = [PER_WRITE - 1, PER_WRITE, PER_WRITE + 1, 2 * PER_WRITE + 1]
 
 
 class TestJsonDocumentWriter:
@@ -360,12 +366,6 @@ class TestJsonDocumentWriter:
         }
         path = write_json_document(str(tmp_path / "d.json"), document)
         assert open(path).read() == _buffered(document)
-
-    def test_iterator_member_is_written_as_an_array(self, tmp_path):
-        rows = [{"i": i} for i in range(CHUNK + 3)]
-        path = write_json_document(
-            str(tmp_path / "d.json"), {"rows": iter(rows), "n": 1})
-        assert open(path).read() == _buffered({"rows": rows, "n": 1})
 
     def test_empty_document_and_non_string_keys(self, tmp_path):
         path = write_json_document(str(tmp_path / "d.json"), {})
@@ -403,6 +403,36 @@ class TestTraceExportIdentity:
         path = tracer.export(str(tmp_path / "t.json"))
         assert open(path).read() == _buffered(tracer.to_dict())
         assert len(tracer.to_dict()["traceEvents"]) == count + min(count, 2)
+
+    @pytest.mark.parametrize("count", WRITE_BOUNDARIES)
+    def test_tracer_at_write_boundaries(self, tmp_path, count):
+        clock = FakeClock()
+        tracer = Tracer(clock, TraceLevel.PACKET)
+        _fill(tracer, clock, count, True)
+        path = tracer.export(str(tmp_path / "t.json"))
+        assert open(path).read() == _buffered(tracer.to_dict())
+
+    def test_export_memory_does_not_grow_with_the_trace(self, tmp_path):
+        """The export holds one write's worth of events: its peak
+        allocation for 50 000 link spans is that for 5 000."""
+
+        def export_peak(count):
+            tracer = Tracer(FakeClock(), TraceLevel.PACKET)
+            for k in range(count):
+                t = k * 1e-4
+                tracer.complete("v0", t, t + 1e-5 * (1 + k % 7),
+                                track="link:a->b", cat="link",
+                                args={"bits": 8000 + k, "priority": 0,
+                                      "packet_id": k})
+            tracemalloc.start()
+            try:
+                tracer.export(str(tmp_path / f"{count}.json"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = export_peak(5_000), export_peak(50_000)
+        assert large - small < 32 * 1024, (small, large)
 
     @pytest.mark.parametrize("count", BOUNDARIES)
     def test_flight_recorder(self, tmp_path, count):
@@ -454,3 +484,48 @@ def test_film_stack_exports_are_the_same_bytes(tmp_path):
             digest.update(handle.read())
     assert len(stack.sim.trace) == 31062
     assert digest.hexdigest() == FILM_EXPORTS_SHA256
+
+
+def _one_film_group(traced):
+    """The ledger's film group (perf/workloads/film.py) alone, audited
+    and, when ``traced``, PACKET-traced, after 2 virtual seconds of
+    play; without a tracer the auditor installs a flight recorder of
+    1,000 events, which the run wraps."""
+    from perf.workloads import film
+    from repro.sim.shard import reset_process_state
+
+    reset_process_state()
+    stack = Stack(seed=1)
+    if traced:
+        stack.enable_tracing(TraceLevel.PACKET)
+    stack.enable_audit(flight_capacity=1000)
+    stack.router("net")
+    for role in ("video-srv", "audio-srv", "ws"):
+        stack.host(f"{role}0")
+        stack.link(f"{role}0", "net", 20e6, prop_delay=0.003)
+    stack.up()
+    group = film._Group(stack, 0)
+    film._stage(stack, [group], "connected", "connect")
+    group.attach_media()
+    film._stage(stack, [group], "started", "orchestrate")
+    stack.run(2.0)
+    return stack
+
+
+class TestRealTrafficExport:
+    """Real traffic, not drawn traffic: the export of a film run is the
+    bytes ``json.dumps`` writes for its document."""
+
+    def test_tracer(self, tmp_path):
+        stack = _one_film_group(traced=True)
+        tracer = stack.sim.trace
+        assert type(tracer) is Tracer and len(tracer) > 2 * PER_WRITE
+        path = stack.export_trace(str(tmp_path / "trace.json"))
+        assert open(path).read() == json.dumps(tracer.to_dict())
+
+    def test_flight_recorder(self, tmp_path):
+        stack = _one_film_group(traced=False)
+        ring = stack.sim.trace
+        assert type(ring) is FlightRecorder and len(ring) == ring.capacity
+        path = stack.export_trace(str(tmp_path / "ring.json"))
+        assert open(path).read() == json.dumps(ring.to_dict())

@@ -6,14 +6,16 @@ import os
 import tempfile
 import tracemalloc
 from collections import deque
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ansa.stream import AudioQoS
 from repro.core.runtime import Stack
 from repro.obs.report import load_events, main as report_main
+from repro.obs import trace as trace_module
 from repro.obs.audit import FlightRecorder
 from repro.obs.trace import NULL_TRACER, TraceLevel, Tracer, event_of
 from repro.transport.addresses import TransportAddress
@@ -262,36 +264,72 @@ class _TupleStore:
                 "displayTimeUnit": "ms"}
 
 
+class _Int(int):
+    """An int subclass whose repr is not its JSON text."""
+
+    def __repr__(self):
+        return f"_Int({int(self)})"
+
+
+class _Float(float):
+    """A float subclass whose repr is not its JSON text."""
+
+    def __repr__(self):
+        return f"_Float({float(self)})"
+
+
+#: Text a template must escape or double: JSON specials, control
+#: characters, non-ASCII, a lone surrogate, and ``%`` / ``{`` for
+#: templates built by %-formatting or ``str.format``.
+_awkward = st.sampled_from([
+    "%s", "%", "%%d", "{", "{0}", '"', "\\", "\x00\x1f\n\t", "\u00e9t\u00e9",
+    "\u540d", "\ud800", "\u2028",
+])
+_text = _awkward | st.text(max_size=3)
 _atoms = st.one_of(
-    st.booleans(), st.none(), st.integers(), st.text(max_size=4),
+    st.booleans(), st.none(), st.integers(), _text,
     st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from(TraceLevel),
+    st.sampled_from(TraceLevel), st.integers().map(_Int),
+    st.floats(allow_nan=True, allow_infinity=True).map(_Float),
 )
 _values = st.recursive(
     _atoms,
     lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    | st.dictionaries(_text, inner, max_size=3),
     max_leaves=6,
 )
-#: Key sets drawn from a small pool repeat; free text makes new ones.
-_args = st.dictionaries(
+#: Key sets drawn from a small pool repeat; free text makes new ones,
+#: and keys that are not str (``True``, ``1`` and ``1.0`` are one dict
+#: key) are written as JSON writes them.
+_str_keys = (
     st.sampled_from(["packet_id", "vc", "bits", "flow", "\u00e9t\u00e9"])
-    | st.text(max_size=3),
-    _values, max_size=4,
+    | _text
 )
-_names = st.sampled_from(["tpdu.tx", "rx", "v0", "\u540d"]) | st.text(max_size=3)
+_keys = (
+    _str_keys
+    | st.integers(-1, 2) | st.booleans() | st.none()
+    | st.sampled_from([0.0, -0.0, 1.0, 1.5, float("nan"), float("inf")])
+    | st.sampled_from([TraceLevel.LIFECYCLE, _Int(1), _Float(1.0)])
+)
+_args = st.dictionaries(_keys, _values, max_size=4)
+_names = st.sampled_from(["tpdu.tx", "rx", "v0", "\u540d"]) | _text
 _tracks = st.sampled_from(["sim", "vc:v1", "link:a->b"])
-_cats = st.sampled_from(["event", "causal", "link", "fault"])
-_times = st.floats(-5.0, 5.0)
+_cats = st.sampled_from(["event", "causal", "link", "fault", None]) | _text
+#: Clock readings and span ends, NaN and the infinities included.
+_odd_times = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+_times = st.floats(-5.0, 5.0) | _odd_times
 _ops = st.lists(st.one_of(
     st.tuples(st.just("advance"), st.floats(0.0, 2.0)),
+    st.tuples(st.just("set"), _times),
     st.tuples(st.just("instant"), _names, _tracks, _cats,
               st.none() | _args),
     st.tuples(st.just("complete"), _names, _times, _times, _tracks, _cats,
               st.none() | _args),
     st.tuples(st.just("counter"), _names, _args, _tracks),
     st.tuples(st.just("open"), _names, _tracks, _cats, st.none() | _args),
-    st.tuples(st.just("close"), _args),
+    # Span.end() takes its extra args as keywords.
+    st.tuples(st.just("close"), st.dictionaries(_str_keys, _values,
+                                                max_size=4)),
 ), max_size=30)
 
 
@@ -301,6 +339,8 @@ def _replay(ops, tracer, reference, clock):
     for op, *rest in ops:
         if op == "advance":
             clock.t += rest[0]
+        elif op == "set":
+            clock.t = rest[0]
         elif op == "instant":
             name, track, cat, args = rest
             tracer.instant(name, track=track, cat=cat, args=args)
@@ -328,11 +368,26 @@ def _replay(ops, tracer, reference, clock):
 
 class TestColumnStoreEquivalence:
     """The column store reads back exactly what one tuple per event
-    held: records, events, the document and its exported bytes."""
+    held: records, events, the document and its exported bytes.
+
+    Reads are compared by ``repr``, which tells NaN from NaN as equal,
+    ``True`` from ``1`` and ``-0.0`` from ``0.0`` as different.  The
+    export is written a few events per write, so that a drawn trace
+    crosses chunk boundaries."""
 
     @settings(max_examples=150, deadline=None)
-    @given(ops=_ops)
-    def test_tracer_matches_the_tuple_store(self, ops):
+    @given(ops=_ops, per_write=st.integers(1, 4))
+    @example(ops=[("instant", "%s", "sim", "%d", {"%s": "%s", "k": 1}),
+                  ("complete", "%s", 0.0, 1.0, "sim", "{0}", {"{": "%"})],
+             per_write=1)
+    @example(ops=[("instant", "e", "sim", "event", {True: 1, 1: "one"}),
+                  ("instant", "e", "sim", "event", {1: 1}),
+                  ("instant", "e", "sim", "event", {1.0: 1}),
+                  ("instant", "e", "sim", "event", {False: 0, 2: 2}),
+                  ("instant", "e", "sim", "event", {0: 0, 2: 2}),
+                  ("instant", "e", "sim", "event", {-0.0: 0, 2: 2})],
+             per_write=4)
+    def test_tracer_matches_the_tuple_store(self, ops, per_write):
         clock = FakeClock()
         tracer = Tracer(clock, TraceLevel.PACKET)
         reference = _TupleStore(clock)
@@ -341,27 +396,32 @@ class TestColumnStoreEquivalence:
         assert len(tracer) == len(records)
         n = len(records)
         for k in [*range(n + 2), *range(n, -n - 2, -1)]:
-            assert tracer.records(k) == records[k:]
-        assert tracer.events == [event_of(r) for r in records]
-        assert tracer.to_dict() == reference.to_dict()
-        assert self._exported(tracer) == json.dumps(reference.to_dict())
-        assert self._exported(tracer) == json.dumps(tracer.to_dict())
+            assert repr(tracer.records(k)) == repr(records[k:])
+        assert repr(tracer.events) == repr([event_of(r) for r in records])
+        assert repr(tracer.to_dict()) == repr(reference.to_dict())
+        exported = self._exported(tracer, per_write)
+        assert exported == json.dumps(reference.to_dict())
+        assert exported == json.dumps(tracer.to_dict())
 
     @settings(max_examples=100, deadline=None)
-    @given(ops=_ops, capacity=st.integers(1, 5))
+    @given(ops=_ops, capacity=st.integers(1, 5),
+           per_write=st.integers(1, 4))
     def test_wrapped_flight_recorder_matches_a_ring_of_tuples(
-            self, ops, capacity):
+            self, ops, capacity, per_write):
         clock = FakeClock()
         ring = FlightRecorder(clock, capacity=capacity)
         reference = _TupleStore(clock, capacity=capacity)
         _replay(ops, ring, reference, clock)
-        assert ring.records() == list(reference.records)
-        assert ring.snapshot() == [event_of(r) for r in reference.records]
-        assert self._exported(ring) == json.dumps(reference.to_dict())
+        assert repr(ring.records()) == repr(list(reference.records))
+        assert repr(ring.snapshot()) == repr(
+            [event_of(r) for r in reference.records])
+        assert (self._exported(ring, per_write)
+                == json.dumps(reference.to_dict()))
 
     @staticmethod
-    def _exported(tracer):
-        with tempfile.TemporaryDirectory() as tmp:
+    def _exported(tracer, per_write):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+                trace_module, "_EVENTS_PER_WRITE", per_write):
             path = tracer.export(os.path.join(tmp, "trace.json"))
             with open(path, encoding="utf-8") as handle:
                 return handle.read()
