@@ -2,8 +2,8 @@
 
 A 30 Mbit/s continuous-media session pushes thousands of packets and
 TPDUs per simulated second; allocating (and garbage-collecting) a fresh
-dataclass instance for each one dominates the profile once the timer
-wheel has taken scheduling off the critical path.  A :class:`Freelist`
+dataclass instance for each one costs more than scheduling it, which
+is one push onto a shallow heap.  A :class:`Freelist`
 recycles instances instead: ``get()`` pops a previously released object
 (or returns None, telling the caller to construct one), ``put()``
 parks an object for reuse.

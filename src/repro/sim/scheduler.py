@@ -1,36 +1,29 @@
 """Event scheduler and process model for the virtual-time kernel.
 
-The core is a **timer wheel** (calendar queue) with an overflow heap,
-driven through cancellable/reschedulable handles, with generator
-coroutines on top -- written from scratch so the reproduction has no
-runtime dependencies beyond the standard library.
+The core is a pair of binary heaps driven through cancellable,
+reschedulable handles, with generator coroutines on top -- written
+from scratch so the reproduction has no runtime dependencies beyond
+the standard library.
 
-Event storage is split three ways by temporal distance:
+Every entry is one ``(when, priority, seq, gen, handle)`` tuple, and
+the kernel's one contract is that entries fire in ``(when, priority,
+seq)`` order.  Entries live in one of two ``heapq`` lists, split at a
+moving virtual instant, the *horizon*:
 
-- the **current bucket** (``_cur``): a sorted run holding the events
-  of the bucket being drained, ordered by the full
-  ``(when, priority, seq)`` key and consumed through an index pointer
-  (``_cur_i``) -- one ``list.sort()`` per bucket load, O(1) pops, and
-  same-bucket inserts from callbacks via ``bisect.insort`` over the
-  unconsumed suffix.  Same-instant bursts (a cascade of co-timed
-  packet arrivals) live here together and are dispatched in one batch
-  without touching the rest of the structure.
-- the **wheel** (``_slots``): 2048 buckets of 2**-9 s (~1.95 ms), a
-  4 s horizon.  Near-future inserts and cancels are O(1): an append
-  to an unsorted slot list, a bitmap bit.  This is the common case for
-  continuous-media traffic (serialisation timers, propagation timers,
-  pacing slots, NACK deadlines).
-- the **overflow heap** (``_heap``): everything at or beyond the
-  horizon, kept in a classic lazy-compacted binary heap.  As the
-  cursor advances, maturing overflow events migrate into the wheel in
-  amortised O(log n) -- the invariant is that every overflow entry's
-  bucket is >= ``_cursor + 2048``.
+- the **near heap** (``_heap``) holds every entry before the horizon.
+  Dispatch pops its head; the serialisation, propagation, pacing and
+  NACK timers continuous-media traffic is made of land here.
+- the **far heap** (``_far``) holds the rest: retry ladders, session
+  deadlines, benchmark ballast.  Keeping it apart keeps the near heap
+  shallow, so a near push or pop does not climb through thousands of
+  far-future entries.
 
-The bucket width is a **power of two** so ``when * 2**9`` is exact
-float arithmetic: the bucket index is a monotone function of ``when``
-and bucket boundaries are exact lower bounds, which is what makes the
-wheel's firing order *identical* (not just equivalent) to a global
-heap ordered by ``(when, priority, seq)``.
+When the near heap drains, the horizon moves to ``_FAR`` seconds past
+the far heap's head, and every far entry before it moves across.
+Entries leave the far heap in order, so moving them is an append that
+keeps the near heap a heap.  Every near entry precedes every far entry,
+so the near heap's head is the next event overall: the order
+dispatched is exactly the one a single heap over the same tuples gives.
 
 A :class:`Process` wraps a generator.  The generator ``yield``\\ s
 *waitables*; the process resumes when the waitable fires and receives the
@@ -61,31 +54,25 @@ second handle the process owns at the deadline; whichever fires first
 cancels the other.
 
 Every scheduling call returns a :class:`TimerHandle` with O(1)
-``cancel()`` and ``reschedule()``.  Cancelled or superseded entries are
-reclaimed lazily: they are skipped when they surface, and each region
-(wheel, overflow heap) is compacted in one sweep whenever more than
-half of it is dead.
+``cancel()`` and O(log n) ``reschedule()``.  Cancelled or superseded
+entries are reclaimed lazily: they are dropped when they surface, and
+each heap is swept in one pass whenever more than half of it is dead.
 
 Reentrancy contract: callbacks run from ``run()``/``step()`` may
 schedule, cancel and reschedule freely -- including operations that
-trigger a compaction sweep -- and never observe a half-compacted
-structure.  Two invariants make this safe: the current-bucket run
-object (``_cur``) is mutated only in place, never replaced, so the
-dispatch loop's alias stays valid across any callback (inserts land at
-or after the index pointer, so consumed positions never shift); and
-sweeps of the wheel and the overflow heap filter their containers in
-place (slice assignment) and only run from scheduling calls, never
-while the dispatch loop is iterating them.
+trigger a sweep -- and never observe a half-swept heap.  Both heaps
+are only ever mutated in place (a sweep filters by slice assignment),
+so the dispatch loop's alias of the near heap stays valid across any
+callback, and a sweep runs only from a scheduling call, never while
+the dispatch loop is between reading a head and popping it.
 
 Time is a float in **seconds** throughout the code base.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from bisect import insort as _insort
-from heapq import heappop as _heappop, heappush as _heappush
+from heapq import heapify, heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Generator, Optional
 
 from repro.obs.registry import MetricsRegistry
@@ -104,26 +91,27 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-#: Region size below which dead entries are never swept: rebuilding a
-#: tiny structure costs more than skipping its corpses on pop.
+#: Heap size below which dead entries are never swept: rebuilding a
+#: tiny heap costs more than skipping its corpses on pop.
 _COMPACT_MIN_HEAP = 128
 
-#: Timer-wheel geometry.  The bucket width is 2**-9 s (~1.95 ms) so the
-#: bucket index ``int(when * _INV_TICK)`` is exact, monotone float
-#: arithmetic (multiplying by a power of two never rounds); 2048 slots
-#: give a 4 s horizon that covers serialisation, propagation, pacing,
-#: recovery and sample-period timers.  The width is a batching knob,
-#: not a correctness knob: each bucket is drained through the
-#: current-bucket heap in full ``(when, priority, seq)`` order, so
-#: coarser buckets only mean more events amortise one cursor advance.
-_WHEEL_BITS = 11
-_SLOTS = 1 << _WHEEL_BITS
-_MASK = _SLOTS - 1
-_TICK = 2.0 ** -9
-_INV_TICK = 2.0 ** 9
-#: Per-slot occupancy masks for the big-int bitmap (set / clear).
-_BIT = tuple(1 << i for i in range(_SLOTS))
-_CLEAR = tuple(~(1 << i) for i in range(_SLOTS))
+#: How far past the far heap's head the horizon moves when the near heap
+#: drains (seconds).  It covers the serialisation, propagation, pacing,
+#: recovery and sample-period timers, so those stay in the near heap.
+#: A batching knob, not a correctness knob: any positive width gives
+#: the same dispatch order.
+_FAR = 4.0
+
+_INF = float("inf")
+
+
+def _sweep(heap: list) -> None:
+    """Drop every dead entry from ``heap`` in one O(n) pass, in place."""
+    heap[:] = [
+        entry for entry in heap
+        if entry[4]._live and entry[3] == entry[4]._gen
+    ]
+    heapify(heap)
 
 
 class TimerHandle:
@@ -189,41 +177,29 @@ class Simulator:
     ``seq`` counter makes ordering of simultaneous events deterministic
     (FIFO within equal time and priority, including reschedules:
     re-arming for the same instant re-enqueues behind its
-    contemporaries).  Storage is a timer wheel with an overflow heap
-    (see the module docstring); the total order dispatched is exactly
-    the one a single global heap over the same tuples would produce.
+    contemporaries).  Storage is a near and a far heap split at
+    ``_horizon`` (see the module docstring); the total order dispatched
+    is exactly the one a single global heap over the same tuples would
+    produce.
     """
 
     def __init__(self) -> None:
-        #: Overflow heap: events at or beyond the wheel horizon.  The
-        #: name is part of the informal introspection surface (tests
-        #: assert mass cancellation compacts it).
+        #: Near heap: every entry before ``_horizon``; dispatch pops it.
         self._heap: list[tuple[float, int, int, int, TimerHandle]] = []
+        #: Far heap: every entry at or after ``_horizon``.
+        self._far: list[tuple[float, int, int, int, TimerHandle]] = []
+        self._horizon = _FAR
+        # Dead (cancelled or superseded) entries still in each heap:
+        # ``pending_events`` subtracts them, and each drives its heap's
+        # sweep.
+        self._dead = 0
+        self._far_dead = 0
         self._seq = itertools.count()
         # Bound method of the seq counter: _push runs for every event,
         # and the global next() lookup is measurable there.
         self._next_seq = self._seq.__next__
         self._now = 0.0
         self._running = False
-        # Wheel state.  ``_cursor`` is the absolute bucket index being
-        # drained; the wheel window is [_cursor, _wheel_end).  ``_cur``
-        # holds the current bucket's events as a sorted run consumed
-        # through ``_cur_i``; its list identity is stable for the life
-        # of the simulator (reentrancy contract -- the dispatch loop
-        # aliases it).
-        self._slots: list[list] = [[] for _ in range(_SLOTS)]
-        self._occ = 0
-        self._cursor = 0
-        self._wheel_end = _SLOTS
-        self._cur: list[tuple[float, int, int, int, TimerHandle]] = []
-        self._cur_i = 0
-        # Entry accounting: ``pending_events`` is _count - _dead.  The
-        # per-region dead counts drive the region compaction sweeps.
-        self._count = 0
-        self._dead = 0
-        self._wheel_count = 0
-        self._wheel_dead = 0
-        self._heap_dead = 0
         self.process_count = 0
         #: Observability hooks.  ``trace`` is the no-op tracer until a
         #: runtime installs a real one (see ``Runtime.enable_tracing``);
@@ -288,178 +264,55 @@ class Simulator:
         handle._cancelled = False
         handle.when = when
         entry = (when, handle.priority, self._next_seq(), handle._gen, handle)
-        self._count += 1
-        bucket = int(when * _INV_TICK)
-        if bucket <= self._cursor:
-            # Current (or already-passed) bucket: sorted insert into the
-            # unconsumed suffix of the run the dispatch loop is
-            # draining.  ``lo=_cur_i`` keeps consumed positions stable;
-            # an entry ordered before the whole suffix lands exactly at
-            # the pointer, i.e. it fires next -- the same position a
-            # heap push would have given it.
-            _insort(self._cur, entry, self._cur_i)
-        elif bucket < self._wheel_end:
-            # Within the horizon: O(1) slot append + occupancy bit.
-            slot_index = bucket & _MASK
-            slot = self._slots[slot_index]
-            if not slot:
-                self._occ |= _BIT[slot_index]
-            slot.append(entry)
-            self._wheel_count += 1
+        if when < self._horizon:
+            _heappush(self._heap, entry)
+        elif when + _FAR > when:
+            _heappush(self._far, entry)
         else:
-            heap = self._heap
-            _heappush(heap, entry)
-            # Compaction check inlined: far-future mass scheduling
-            # (ballast, long retry ladders) must keep the overflow
-            # heap at most half dead.
-            if self._heap_dead * 2 > len(heap) >= _COMPACT_MIN_HEAP:
-                self._compact()
+            # NaN, infinity, or so large that the horizon could never
+            # move past it.
+            handle._live = False
+            raise SimulationError(f"cannot schedule at {when!r}")
 
     # -- dead-entry reclamation --------------------------------------------
 
     def _note_dead(self, when: float) -> None:
         """Account one cancelled/superseded entry scheduled at ``when``.
 
-        The entry's region is identified by its bucket: at or behind the
-        cursor means the current-bucket heap (reclaimed as the dispatch
-        loop drains it), inside the window means a wheel slot, beyond
-        the window means the overflow heap.  The region sweeps below
-        keep every region at most half dead.
+        ``when`` says which heap holds the entry: before the horizon
+        the near heap, otherwise the far one.  A heap more than half
+        dead is swept.
         """
-        self._dead += 1
-        bucket = int(when * _INV_TICK)
-        if bucket <= self._cursor:
-            return
-        if bucket < self._wheel_end:
-            self._wheel_dead += 1
-            if (self._wheel_dead * 2 > self._wheel_count
-                    >= _COMPACT_MIN_HEAP):
-                self._sweep_wheel()
+        if when < self._horizon:
+            self._dead += 1
+            if self._dead * 2 > len(self._heap) >= _COMPACT_MIN_HEAP:
+                _sweep(self._heap)
+                self._dead = 0
         else:
-            self._heap_dead += 1
-            if self._heap_dead * 2 > len(self._heap) >= _COMPACT_MIN_HEAP:
-                self._compact()
+            self._far_dead += 1
+            if self._far_dead * 2 > len(self._far) >= _COMPACT_MIN_HEAP:
+                _sweep(self._far)
+                self._far_dead = 0
 
-    def _compact(self) -> None:
-        """Sweep the overflow heap's dead entries in one O(n) pass.
+    def _refill(self) -> bool:
+        """Refill the drained near heap from the far heap.
 
-        In place (slice assignment): a callback running under ``run()``
-        may trigger this, and nothing that iterates ``_heap`` (the
-        migration loop in :meth:`_advance`) ever runs user code, so a
-        half-built replacement list is never observable.
+        Moves the horizon ``_FAR`` past the far head and every live far
+        entry before it across, and repeats while all it met were dead.
+        Returns False when nothing is left to run.  Runs no user code.
         """
+        far = self._far
         heap = self._heap
-        before = len(heap)
-        heap[:] = [
-            entry for entry in heap
-            if entry[4]._live and entry[3] == entry[4]._gen
-        ]
-        heapq.heapify(heap)
-        removed = before - len(heap)
-        self._count -= removed
-        self._dead -= removed
-        self._heap_dead = 0
-
-    def _sweep_wheel(self) -> None:
-        """Sweep dead entries out of every occupied wheel slot, O(window)."""
-        removed = 0
-        occ = self._occ
-        while occ:
-            slot_index = (occ & -occ).bit_length() - 1
-            occ &= occ - 1
-            slot = self._slots[slot_index]
-            before = len(slot)
-            slot[:] = [
-                entry for entry in slot
-                if entry[4]._live and entry[3] == entry[4]._gen
-            ]
-            removed += before - len(slot)
-            if not slot:
-                self._occ &= _CLEAR[slot_index]
-        self._wheel_count -= removed
-        self._count -= removed
-        self._dead -= removed
-        self._wheel_dead = 0
-
-    # -- cursor advance ----------------------------------------------------
-
-    def _advance(self, until: Optional[float]) -> bool:
-        """Move the cursor to the next occupied bucket and load it.
-
-        Returns False when there is nothing left to run, or the next
-        bucket starts after ``until`` (bucket starts are exact lower
-        bounds for their events, so stopping here can never skip an
-        event with ``when <= until``).  Runs no user code.
-        """
-        cursor = self._cursor
-        occ = self._occ
-        target = None
-        if occ:
-            cursor_slot = cursor & _MASK
-            m = occ >> cursor_slot
-            if m:
-                target = cursor + ((m & -m).bit_length() - 1)
-            else:
-                # Wrapped: lowest set bit is below the cursor's slot.
-                lsb = (occ & -occ).bit_length() - 1
-                target = cursor - cursor_slot + _SLOTS + lsb
-        heap = self._heap
-        if heap and (target is None or heap[0][0] < target * _TICK):
-            target = int(heap[0][0] * _INV_TICK)
-        if target is None:
-            return False
-        if until is not None and target * _TICK > until:
-            return False
-        self._cursor = target
-        self._wheel_end = wheel_end = target + _SLOTS
-        # Migrate matured overflow entries into the window.  Dead ones
-        # are dropped here instead of being copied.
-        if heap:
-            horizon = wheel_end * _TICK
-            slots = self._slots
-            while heap and heap[0][0] < horizon:
-                entry = _heappop(heap)
+        while far and not heap:
+            self._horizon = horizon = far[0][0] + _FAR
+            while far and far[0][0] < horizon:
+                entry = _heappop(far)
                 handle = entry[4]
                 if handle._live and entry[3] == handle._gen:
-                    bucket = int(entry[0] * _INV_TICK)
-                    slot_index = bucket & _MASK
-                    slot = slots[slot_index]
-                    if not slot:
-                        self._occ |= _BIT[slot_index]
-                    slot.append(entry)
-                    self._wheel_count += 1
+                    heap.append(entry)  # popped in order: still a heap
                 else:
-                    self._count -= 1
-                    self._dead -= 1
-                    self._heap_dead -= 1
-        # Load the target bucket into the current-bucket run (fully
-        # consumed by now -- _advance only runs when the dispatch loop
-        # exhausted it), filtering dead entries while counting them out
-        # of the wheel.  One sort per bucket replaces per-event heap
-        # maintenance.
-        cur = self._cur
-        if cur:
-            cur.clear()
-        self._cur_i = 0
-        slot_index = target & _MASK
-        slot = self._slots[slot_index]
-        if slot:
-            self._occ &= _CLEAR[slot_index]
-            self._wheel_count -= len(slot)
-            removed = 0
-            for entry in slot:
-                handle = entry[4]
-                if handle._live and entry[3] == handle._gen:
-                    cur.append(entry)
-                else:
-                    removed += 1
-            slot.clear()
-            if removed:
-                self._count -= removed
-                self._dead -= removed
-                self._wheel_dead -= removed
-            cur.sort()
-        return True
+                    self._far_dead -= 1
+        return bool(heap)
 
     # -- execution ---------------------------------------------------------
 
@@ -480,43 +333,32 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run)")
         self._running = True
-        # ``cur`` stays valid across callbacks: _advance and the sweeps
-        # mutate the list in place, never rebind self._cur.  The index
-        # pointer is re-read every iteration because callbacks may
-        # insert into the unconsumed suffix (never before it).
-        cur = self._cur
+        # ``heap`` stays valid across callbacks: sweeps and refills
+        # mutate the list in place, never rebind self._heap.
+        heap = self._heap
+        stop = _INF if until is None else until
         # Hoisted: enabling profiling mid-run takes effect on the next
         # run() call; the unprofiled loop stays branch-identical.
         prof = self.profile
         try:
-            while True:
-                i = self._cur_i
-                if i < len(cur):
-                    entry = cur[i]
-                    handle = entry[4]
-                    if handle._live and entry[3] == handle._gen:
-                        when = entry[0]
-                        if until is not None and when > until:
-                            break
-                        self._cur_i = i + 1
-                        self._count -= 1
-                        self._now = when
-                        handle._live = False
-                        if prof is None:
-                            handle._fn()
-                        else:
-                            _t0 = prof.clock()
-                            handle._fn()
-                            prof.add(
-                                "scheduler.dispatch", _t0, prof.clock()
-                            )
-                    else:
-                        self._cur_i = i + 1
-                        self._count -= 1
-                        self._dead -= 1
-                    continue
-                if not self._advance(until):
+            while heap or self._refill():
+                entry = heap[0]
+                when = entry[0]
+                if when > stop:
                     break
+                _heappop(heap)
+                handle = entry[4]
+                if handle._live and entry[3] == handle._gen:
+                    self._now = when
+                    handle._live = False
+                    if prof is None:
+                        handle._fn()
+                    else:
+                        _t0 = prof.clock()
+                        handle._fn()
+                        prof.add("scheduler.dispatch", _t0, prof.clock())
+                else:
+                    self._dead -= 1
             if until is not None and until > self._now:
                 self._now = until
         finally:
@@ -525,60 +367,40 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute a single event.  Returns False when none remain."""
-        cur = self._cur
-        while True:
-            i = self._cur_i
-            if i < len(cur):
-                when, _prio, _seq, gen, handle = cur[i]
-                self._cur_i = i + 1
-                self._count -= 1
-                if not handle._live or gen != handle._gen:
-                    self._dead -= 1
-                    continue
+        heap = self._heap
+        while heap or self._refill():
+            when, _prio, _seq, gen, handle = _heappop(heap)
+            if handle._live and gen == handle._gen:
                 self._now = when
                 handle._live = False
                 handle._fn()
                 return True
-            if not self._advance(None):
-                return False
+            self._dead -= 1
+        return False
 
     @property
     def pending_events(self) -> int:
         """Number of scheduled (non-cancelled) events.  O(1)."""
-        return self._count - self._dead
+        return (len(self._heap) + len(self._far)
+                - self._dead - self._far_dead)
 
     def next_event_time(self) -> Optional[float]:
-        """Conservative lower bound on the next event's fire time.
+        """The exact fire time of the next live event, or ``None``.
 
-        Read-only: scans the unconsumed dispatch run, the occupancy
-        bitmap and the overflow heap without mutating any of them, so it
-        is safe to call between ``run(until=...)`` windows (the shard
-        coordinator uses it to pick the next synchronization horizon).
-
-        The bound is conservative in the safe direction: dead (cancelled)
-        entries and bucket starts may make it *earlier* than the first
-        event that actually fires, never later.  Returns ``None`` when
-        nothing is scheduled.
+        Drops dead heads and refills the near heap as dispatch would,
+        which changes no order, so it is safe to call between
+        ``run(until=...)`` windows (the shard coordinator uses it to
+        pick the next synchronization horizon).
         """
-        cur = self._cur
-        i = self._cur_i
-        if i < len(cur):
-            return cur[i][0]
-        occ = self._occ
-        target = None
-        if occ:
-            cursor_slot = self._cursor & _MASK
-            m = occ >> cursor_slot
-            if m:
-                target = self._cursor + ((m & -m).bit_length() - 1)
-            else:
-                lsb = (occ & -occ).bit_length() - 1
-                target = self._cursor - cursor_slot + _SLOTS + lsb
-        t = target * _TICK if target is not None else None
         heap = self._heap
-        if heap and (t is None or heap[0][0] < t):
-            t = heap[0][0]
-        return t
+        while heap or self._refill():
+            entry = heap[0]
+            handle = entry[4]
+            if handle._live and entry[3] == handle._gen:
+                return entry[0]
+            _heappop(heap)
+            self._dead -= 1
+        return None
 
 
 class Waitable:
@@ -658,9 +480,7 @@ class PeriodicTimer:
     allocates nothing.  Tick times accumulate
     exactly (``start + k * period``), so boundaries do not drift.
 
-    ``fn`` runs after the next tick is armed and may call :meth:`stop`
-    or :meth:`set_period` (the latter takes effect from the following
-    tick).
+    ``fn`` runs after the next tick is armed and may call :meth:`stop`.
     """
 
     __slots__ = ("sim", "_period", "_fn", "_handle", "_next", "_running")
@@ -707,12 +527,6 @@ class PeriodicTimer:
             return
         self._running = False
         self._handle.cancel()
-
-    def set_period(self, period: float) -> None:
-        """Change the period; applies from the next re-arm."""
-        if period <= 0:
-            raise SimulationError(f"period must be positive, got {period}")
-        self._period = period
 
     def _tick(self) -> None:
         # Re-arm before running fn (so fn may stop()); goes straight to

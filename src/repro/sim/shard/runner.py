@@ -17,8 +17,9 @@ msgs)``                    delta)`` after running virtual time up to
 
 plus an initial ``("ready", shard, peek)`` after the scenario factory
 builds, and ``("error", shard, traceback)`` on any crash.  ``peek`` is
-:meth:`~repro.sim.scheduler.Simulator.next_event_time` -- the
-conservative bound the coordinator uses to jump idle stretches.
+:meth:`~repro.sim.scheduler.Simulator.next_event_time` -- the exact
+time of the shard's next live event, which the coordinator uses to
+jump idle stretches.
 
 The *scenario factory* is any picklable callable
 ``factory(shard_index, *args, **kwargs)`` returning a shard context:

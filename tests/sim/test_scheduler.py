@@ -38,6 +38,15 @@ class TestEventLoop:
         with pytest.raises(SimulationError):
             sim.call_after(-0.1, lambda: None)
 
+    @pytest.mark.parametrize("when", [float("inf"), float("nan"), 1e300])
+    def test_time_the_heaps_cannot_order_rejected(self, sim, when):
+        # The far heap could never move the horizon past such a time,
+        # so accepting it would stall run() or break the order.
+        with pytest.raises(SimulationError):
+            sim.call_at(when, lambda: None)
+        assert sim.pending_events == 0
+        assert sim.run() == 0.0
+
     def test_same_time_fifo_order(self, sim):
         seen = []
         for i in range(5):

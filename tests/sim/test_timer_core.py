@@ -537,22 +537,6 @@ class TestReusableTimers:
         assert not timer.running
         assert sim.pending_events == 0
 
-    def test_periodic_timer_set_period_applies_next_tick(self):
-        sim = Simulator()
-        ticks = []
-
-        def on_tick():
-            ticks.append(sim.now)
-            if len(ticks) == 2:
-                timer.set_period(0.5)
-
-        timer = PeriodicTimer(sim, 0.1, on_tick)
-        timer.start()
-        sim.run(until=1.0)
-        # Tick 3 was already armed when set_period ran (fn fires after
-        # the re-arm); the new period shows from tick 4 onward.
-        assert ticks[:4] == pytest.approx([0.1, 0.2, 0.3, 0.8])
-
     def test_periodic_timer_restart_after_stop(self):
         sim = Simulator()
         ticks = []
@@ -568,23 +552,24 @@ class TestReusableTimers:
 
 
 # ---------------------------------------------------------------------------
-# Wheel-region reentrancy (the compaction-reentrancy contract)
+# Heap reentrancy (the compaction-reentrancy contract)
 # ---------------------------------------------------------------------------
 
 
 class TestWheelReentrancy:
     """Callbacks may schedule/cancel/reschedule mid-dispatch -- including
-    operations that trigger a region sweep -- without ever observing a
-    half-compacted structure.  These pin the contract for each region
-    the timer wheel added (current-bucket run, wheel slots, overflow
-    heap); the pre-wheel hazard was only the single global heap.
+    operations that trigger a sweep -- without ever observing a
+    half-swept heap.  These pin the contract for both heaps: the near
+    heap the dispatch loop pops (and aliases) and the far heap that
+    refills it once it drains.  (The class name predates the heaps.)
     """
 
     def test_wheel_sweep_triggered_by_callback_mid_dispatch(self):
-        """A callback mass-cancelling wheel-window entries (forcing the
-        wheel sweep) must not strand later events in swept slots."""
+        """A callback mass-cancelling near-heap entries (forcing the
+        near sweep under the dispatch loop) must not strand later
+        events."""
         sim = Simulator()
-        # Fill several near-future wheel slots past the sweep threshold.
+        # Fill the near heap past the sweep threshold.
         doomed = [sim.call_after(1.0 + i * 1e-3, lambda: None)
                   for i in range(300)]
         fired = []
@@ -600,7 +585,7 @@ class TestWheelReentrancy:
         assert sim.pending_events == 0
 
     def test_cancel_current_bucket_entries_from_callback(self):
-        """Cancelling not-yet-fired events of the bucket being drained:
+        """Cancelling not-yet-fired events just ahead of the near head:
         the dispatch loop skips them as dead, fires the rest."""
         sim = Simulator()
         fired = []
@@ -618,9 +603,9 @@ class TestWheelReentrancy:
         assert sim.pending_events == 0
 
     def test_schedule_into_current_bucket_from_callback(self):
-        """A same-instant (and same-bucket) schedule from a callback
-        fires in this very dispatch batch, in (when, priority, seq)
-        order relative to the entries still pending."""
+        """A same-instant (and near) schedule from a callback fires in
+        (when, priority, seq) order relative to the entries still
+        pending."""
         sim = Simulator()
         fired = []
 
@@ -635,8 +620,8 @@ class TestWheelReentrancy:
         assert fired == ["first", "soon", "mid", "last"]
 
     def test_reschedule_out_of_current_bucket_from_callback(self):
-        """Rescheduling a pending current-bucket event to a later bucket
-        (and back near) supersedes exactly once."""
+        """Rescheduling a pending near event to a later time supersedes
+        exactly once."""
         sim = Simulator()
         fired = []
         victim = sim.call_at(0.5 + 1e-5, lambda: fired.append("victim"))
@@ -652,8 +637,8 @@ class TestWheelReentrancy:
         assert fired == ["mover", "victim"]
 
     def test_overflow_compaction_from_callback_keeps_migration_sound(self):
-        """Overflow-heap compaction fired from a callback must not break
-        the later migration of surviving far-future events."""
+        """A far-heap sweep fired from a callback must not break the
+        later refill of surviving far-future events."""
         sim = Simulator()
         fired = []
         far = [sim.call_after(100.0 + i * 1e-3, lambda: None)

@@ -1,15 +1,23 @@
-"""Wheel-vs-heap equivalence: the firing order is *identical*.
+"""Two-heap vs one-list equivalence: the firing order is *identical*.
 
-The timer wheel replaced a single global heap ordered by
-``(when, priority, seq)``.  Because the bucket width is a power of two,
-the bucket index is a monotone function of ``when`` and the wheel's
-dispatch order is exactly the old heap's order -- not merely
-"equivalent up to ties".  These tests drive randomized
-schedule/cancel/reschedule programs through the real kernel and
-through a reference model (one sorted list, same key), and assert the
-firing sequences match element for element.
+The kernel keeps its entries in a near heap (before the horizon) and a
+far heap (the rest); when the near heap drains, the horizon moves
+``_FAR`` seconds past the far head and the far entries before it move
+across.  Its one contract is a total ``(when, priority, seq)`` dispatch
+order.  These tests drive randomized schedule/cancel/reschedule
+programs through the real kernel and through a reference model (one
+list, same key), and assert the firing sequences match element for
+element.
 
-The reference model implements the documented pre-wheel semantics:
+Each program runs as a series of ``run(until=...)`` slices, with a
+chunk of its operations applied before each slice.  Between slices,
+``next_event_time()`` must equal the model's earliest live entry --
+exactly, not a lower bound -- and ``pending_events`` its live count.
+Delays straddle the horizon (just under and just over ``_FAR`` past
+it), and a mass cancel of a far batch forces a far-heap sweep, so the
+refill and both sweeps are crossed.
+
+The reference model implements the documented semantics:
 
 - events fire in ``(when, priority, seq)`` order;
 - ``cancel()`` is exact: a cancelled handle never fires;
@@ -25,11 +33,15 @@ import random
 
 import pytest
 
-from repro.sim.scheduler import Simulator, TimerHandle
+from repro.sim.scheduler import _FAR, Simulator, TimerHandle
+
+#: Handles the random ops address, and the far batch mass-cancelled.
+_HANDLES = 40
+_BATCH = 200
 
 
 class _RefKernel:
-    """Reference scheduler: one sorted list, (when, priority, seq) key."""
+    """Reference scheduler: one list, (when, priority, seq) key."""
 
     def __init__(self):
         self.now = 0.0
@@ -45,13 +57,26 @@ class _RefKernel:
         self._seq += 1
         self._entries.append((when, handle.priority, self._seq, handle.gen, handle))
 
+    def make(self, fn, priority):
+        return _RefHandle(fn, priority)
+
     def cancel(self, handle):
         handle.live = False
 
+    def _live(self):
+        return [e for e in self._entries if e[4].live and e[3] == e[4].gen]
+
+    @property
+    def pending_events(self):
+        return len(self._live())
+
+    def next_event_time(self):
+        live = self._live()
+        return min(live)[0] if live else None
+
     def run(self, until):
         while True:
-            live = [e for e in self._entries
-                    if e[4].live and e[3] == e[4].gen]
+            live = self._live()
             if not live:
                 break
             entry = min(live)
@@ -75,95 +100,118 @@ class _RefHandle:
         self.when = 0.0
 
 
-def _random_program(seed: int, n_ops: int = 400):
-    """A deterministic op list: (op, handle_index, delay, priority)."""
+class _Real:
+    """The kernel under test behind the reference model's interface."""
+
+    def __init__(self):
+        self.sim = Simulator()
+
+    @property
+    def now(self):
+        return self.sim.now
+
+    def make(self, fn, priority):
+        return TimerHandle(self.sim, fn, priority)
+
+    def push(self, handle, when):
+        self.sim._push(handle, when)
+
+    def cancel(self, handle):
+        handle.cancel()
+
+    def run(self, until):
+        self.sim.run(until=until)
+
+    @property
+    def pending_events(self):
+        return self.sim.pending_events
+
+    def next_event_time(self):
+        return self.sim.next_event_time()
+
+
+def _random_program(seed: int, n_ops: int = 400, n_slices: int = 10):
+    """A deterministic program: ``(ops, slice_length)`` per slice.
+
+    Each op is ``(op, handle_index, delay, priority)``; delays are
+    relative to the clock when the slice's ops are applied.
+    """
     rng = random.Random(seed)
-    ops = []
-    for _ in range(n_ops):
-        op = rng.choice(
-            ["schedule", "schedule", "schedule", "cancel", "reschedule"]
-        )
-        handle_index = rng.randrange(40)
-        # Mix of near-past-horizon, same-bucket, mid-wheel and
-        # far-overflow delays so every region of the wheel is crossed.
-        delay = rng.choice([
-            0.0,
-            rng.uniform(0.0, 1e-4),       # sub-bucket
-            rng.uniform(0.0, 0.01),       # a few buckets
-            rng.uniform(0.0, 3.9),        # across the wheel window
-            rng.uniform(4.0, 50.0),       # overflow heap
-        ])
-        priority = rng.randrange(3)
-        ops.append((op, handle_index, delay, priority))
-    return ops
+    program = []
+    for _ in range(n_slices):
+        ops = []
+        for _ in range(n_ops // n_slices):
+            op = rng.choice(
+                ["schedule", "schedule", "schedule", "cancel", "reschedule"]
+            )
+            handle_index = rng.randrange(_HANDLES)
+            # Same-instant, near, across the horizon's first window,
+            # straddling the horizon, and far-future delays.
+            delay = rng.choice([
+                0.0,
+                rng.uniform(0.0, 1e-4),
+                rng.uniform(0.0, 0.01),
+                rng.uniform(0.0, 3.9),
+                _FAR - rng.uniform(0.0, 1e-3),    # just under the horizon
+                _FAR + rng.uniform(0.0, 1e-3),    # just over it
+                rng.uniform(4.0, 50.0),           # the far heap
+            ])
+            priority = rng.randrange(3)
+            ops.append((op, handle_index, delay, priority))
+        if rng.random() < 0.3:
+            # A far batch, then its mass cancel: the far-heap sweep.
+            ops.append(("far_batch", 0, rng.uniform(5.0, 40.0), 0))
+            ops.append(("cancel_batch", 0, 0.0, 0))
+        program.append((ops, rng.uniform(0.2, 2 * _FAR)))
+    return program
 
 
-def _run_real(ops, until=60.0):
-    sim = Simulator()
+def _run(kernel, program):
+    """Fired ``(index, time)`` log, plus each slice's ``(next, pending)``."""
     fired: list = []
-    handles: dict[int, TimerHandle] = {}
-    priorities: dict[int, int] = {}
+    handles: dict = {}
+    observed: list = []
 
     def make_fn(index):
         def fn():
-            fired.append((index, round(sim.now, 12)))
+            fired.append((index, round(kernel.now, 12)))
         return fn
 
-    for step, (op, index, delay, priority) in enumerate(ops):
-        when = delay + step * 1e-3  # spread arming times a little
-        if op == "schedule":
+    for ops, length in program:
+        now = kernel.now
+        for op, index, delay, priority in ops:
             handle = handles.get(index)
-            if handle is None or priorities[index] != priority:
-                handle = TimerHandle(sim, make_fn(index), priority)
-                handles[index] = handle
-                priorities[index] = priority
-            sim._push(handle, when)
-        elif op == "cancel":
-            handle = handles.get(index)
-            if handle is not None:
-                handle.cancel()
-        else:  # reschedule
-            handle = handles.get(index)
-            if handle is not None:
-                handle.reschedule(when)
-    sim.run(until=until)
-    return fired
-
-
-def _run_ref(ops, until=60.0):
-    kern = _RefKernel()
-    fired: list = []
-    handles: dict[int, _RefHandle] = {}
-
-    def make_fn(index):
-        def fn():
-            fired.append((index, round(kern.now, 12)))
-        return fn
-
-    for step, (op, index, delay, priority) in enumerate(ops):
-        when = delay + step * 1e-3
-        if op == "schedule":
-            handle = handles.get(index)
-            if handle is None or handle.priority != priority:
-                handle = _RefHandle(make_fn(index), priority)
-                handles[index] = handle
-            kern.push(handle, when)
-        elif op == "cancel":
-            handle = handles.get(index)
-            if handle is not None:
-                kern.cancel(handle)
-        else:
-            handle = handles.get(index)
-            if handle is not None:
-                kern.push(handle, when)
-    kern.run(until)
-    return fired
+            if op == "schedule":
+                if handle is None or handle.priority != priority:
+                    handle = handles[index] = kernel.make(make_fn(index), priority)
+                kernel.push(handle, now + delay)
+            elif op == "cancel":
+                if handle is not None:
+                    kernel.cancel(handle)
+            elif op == "reschedule":
+                if handle is not None:
+                    kernel.push(handle, now + delay)
+            elif op == "far_batch":
+                for i in range(_HANDLES, _HANDLES + _BATCH):
+                    handles[i] = kernel.make(make_fn(i), 0)
+                    kernel.push(handles[i], now + delay + i * 1e-3)
+            else:  # cancel_batch
+                for i in range(_HANDLES, _HANDLES + _BATCH):
+                    kernel.cancel(handles[i])
+        kernel.run(now + length)
+        observed.append((kernel.next_event_time(), kernel.pending_events))
+    kernel.run(kernel.now + 60.0)
+    observed.append((kernel.next_event_time(), kernel.pending_events))
+    return fired, observed
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_random_program_identical_firing_order(seed):
-    ops = _random_program(seed)
-    assert _run_real(ops) == _run_ref(ops)
+    program = _random_program(seed)
+    real_fired, real_observed = _run(_Real(), program)
+    ref_fired, ref_observed = _run(_RefKernel(), program)
+    assert real_fired == ref_fired
+    assert real_observed == ref_observed
 
 
 @pytest.mark.parametrize("seed", range(12, 18))
@@ -172,14 +220,14 @@ def test_random_program_with_reentrant_callbacks(seed):
     rng = random.Random(seed)
     n = 120
 
-    def drive(sim_like, push, cancel, now):
+    def drive(kernel):
         fired = []
         handles = []
         budget = [5] * n  # bound re-scheduling cascades (0-delay cycles)
 
         def make_fn(index):
             def fn():
-                fired.append((index, round(now(), 12)))
+                fired.append((index, round(kernel.now, 12)))
                 if budget[index] <= 0:
                     return
                 budget[index] -= 1
@@ -187,16 +235,20 @@ def test_random_program_with_reentrant_callbacks(seed):
                 # and reference kernels perform the same ops.
                 for op, target, delay in plans[index]:
                     if op == "s":
-                        push(handles[target], now() + delay)
+                        kernel.push(handles[target], kernel.now + delay)
                     else:
-                        cancel(handles[target])
+                        kernel.cancel(handles[target])
             return fn
 
         for i in range(n):
-            handles.append(make_handle(make_fn(i), i % 3))
+            handles.append(kernel.make(make_fn(i), i % 3))
         for i in range(n):
-            push(handles[i], arm_times[i])
-        return fired, handles
+            kernel.push(handles[i], arm_times[i])
+        observed = []
+        for until in slices:
+            kernel.run(until)
+            observed.append((kernel.next_event_time(), kernel.pending_events))
+        return fired, observed
 
     # Pre-draw every random decision once so both kernels see the
     # exact same program.
@@ -208,44 +260,24 @@ def test_random_program_with_reentrant_callbacks(seed):
             plan.append((
                 rng.choice(["s", "c"]),
                 rng.randrange(n),
-                rng.choice([0.0, 1e-5, 0.02, 5.0]),
+                rng.choice([0.0, 1e-5, 0.02, 5.0, _FAR - 1e-4, _FAR + 1e-4]),
             ))
         plans.append(plan)
+    slices = sorted(rng.uniform(0.0, 100.0) for _ in range(12)) + [100.0]
 
-    # Real kernel.
-    sim = Simulator()
-    make_handle = lambda fn, priority: TimerHandle(sim, fn, priority)  # noqa: E731
-    real_fired, _ = drive(
-        sim,
-        lambda h, when: sim._push(h, max(when, sim.now)),
-        lambda h: h.cancel(),
-        lambda: sim.now,
-    )
-    sim.run(until=100.0)
-
-    # Reference kernel.
-    kern = _RefKernel()
-    make_handle = lambda fn, priority: _RefHandle(fn, priority)  # noqa: E731
-    ref_fired, _ = drive(
-        kern,
-        lambda h, when: kern.push(h, max(when, kern.now)),
-        lambda h: kern.cancel(h),
-        lambda: kern.now,
-    )
-    kern.run(100.0)
-
-    assert real_fired == ref_fired
+    assert drive(_Real()) == drive(_RefKernel())
 
 
 def test_mid_bucket_stop_and_resume():
-    """run(until) stopping inside a bucket resumes without loss."""
+    """run(until) stopping between close instants resumes without loss."""
     sim = Simulator()
     fired = []
-    # Several events inside one ~2 ms bucket, distinct instants.
+    # Several events within 1 ms, distinct instants.
     for i in range(10):
         sim.call_after(1e-4 * i, lambda i=i: fired.append(i))
     sim.run(until=4.5e-4)
     assert fired == [0, 1, 2, 3, 4]
+    assert sim.next_event_time() == pytest.approx(5e-4)
     sim.run(until=1.0)
     assert fired == list(range(10))
 
